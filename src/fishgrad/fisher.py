@@ -6,6 +6,15 @@ form (mean of squared per-sample gradients) and the label-expectation form
 (classifiers only: the inner sum runs over all classes weighted by the model's
 own predictive distribution). Masks select the top-k scored parameter indices
 with ties broken toward the lowest index so every selection is reproducible.
+
+Scores are computed without forming any per-sample gradient. For a dense
+layer, row i's weight gradient is the outer product of its input a_i and its
+output gradient delta_i, so the squared gradients summed over rows are
+(A^2)^T Delta^2 and each row's masked squared norm is a row sum of
+(A^2 @ M) * Delta^2. Models that are stacks of dense layers (logreg, mlp,
+linear_regressor) supply A and Delta from one untaped forward pass and one
+batched backward pass (``models.DensePass``). A model without that structure
+(tiny_attention) falls back to one tape pass per row.
 """
 
 from __future__ import annotations
@@ -112,18 +121,61 @@ def _resolve_subset(dataset, subset) -> np.ndarray:
     return ids
 
 
-def empirical_fisher(model, dataset, subset=None) -> FisherDiagonal:
-    """Mean of squared per-sample log-likelihood gradients at ground-truth labels.
+def _span(segment) -> slice:
+    return slice(segment.offset, segment.offset + segment.length)
 
-    Accumulates in subset order with an ordered sum so results are
-    reproducible bit-for-bit.
+
+def _factored_diagonal(num_params: int, factors, squares) -> np.ndarray:
+    """Sum over rows of squared per-example gradients, from layer factors.
+
+    ``squares`` holds one (n, fan_out) matrix S per layer: the squared
+    output gradients, or their class-weighted sum. Row i's weight gradient
+    is outer(a_i, delta_i), so the weight block sums to (A^2)^T S and the
+    bias block to the column sums of S; no (n x P) matrix is formed.
     """
+    values = np.zeros(num_params, dtype=np.float64)
+    for f, sq in zip(factors, squares):
+        values[_span(f.weight)] = ((f.inputs ** 2).T @ sq).ravel()
+        values[_span(f.bias)] = sq.sum(axis=0)
+    return values
+
+
+def _masked_row_squares(f, keep: np.ndarray) -> np.ndarray:
+    """Each row's squared gradient on one dense layer, summed over the kept
+    coordinates: rows of (A^2 @ M) * Delta^2 plus Delta^2 @ m_b."""
+    a2, sq = f.inputs ** 2, f.grads ** 2
+    m = keep[_span(f.weight)].reshape(a2.shape[1], sq.shape[1]).astype(np.float64)
+    # Contract the mask with the narrower side, so no (n x wider side)
+    # product is formed next to the squares.
+    if a2.shape[1] < sq.shape[1]:
+        rows = (a2 * (sq @ m.T)).sum(axis=1)
+    else:
+        rows = ((a2 @ m) * sq).sum(axis=1)
+    return rows + sq @ keep[_span(f.bias)].astype(np.float64)
+
+
+def _tape_squares(model, X, y):
+    """Squared log-likelihood gradient of each row from its own tape pass:
+    the path for models without dense-layer factors (tiny_attention)."""
+    for i in range(len(X)):
+        g = ad.log_prob_gradient(model, X[i:i + 1], y[i:i + 1])
+        yield g * g
+
+
+def empirical_fisher(model, dataset, subset=None) -> FisherDiagonal:
+    """Mean of squared per-sample log-likelihood gradients at ground-truth labels."""
     ids = _resolve_subset(dataset, subset)
-    acc = np.zeros(model.num_params, dtype=np.float64)
-    for i in ids:
-        g = ad.log_prob_gradient(model, dataset.inputs[i:i + 1], dataset.labels[i:i + 1])
-        acc += g * g
-    return FisherDiagonal(acc / len(ids), "empirical", ids, model.content_hash())
+    X, y = dataset.inputs[ids], dataset.labels[ids]
+    dense = model.dense_pass(X)
+    if dense is None:
+        total = np.zeros(model.num_params, dtype=np.float64)
+        for sq in _tape_squares(model, X, y):
+            total += sq
+    else:
+        factors = dense.factors(y)
+        total = _factored_diagonal(model.num_params, factors,
+                                   (f.grads ** 2 for f in factors))
+    return FisherDiagonal(total / len(ids), "empirical", ids, model.content_hash())
 
 
 def expectation_fisher(model, dataset, subset=None) -> FisherDiagonal:
@@ -133,31 +185,46 @@ def expectation_fisher(model, dataset, subset=None) -> FisherDiagonal:
     if not model.is_classifier:
         raise ValueError("expectation_fisher needs a classifier (finite class set)")
     ids = _resolve_subset(dataset, subset)
-    acc = np.zeros(model.num_params, dtype=np.float64)
-    for i in ids:
-        x = dataset.inputs[i:i + 1]
-        probs = np.exp(model.log_probs(dataset.inputs[i]))
+    X = dataset.inputs[ids]
+    n = len(ids)
+    dense = model.dense_pass(X)
+    if dense is None:
+        probs = np.exp([model.log_probs(x) for x in X])
+        total = np.zeros(model.num_params, dtype=np.float64)
         for cls in range(model.num_classes):
-            g = ad.log_prob_gradient(model, x, np.array([cls]))
-            acc += probs[cls] * (g * g)
-    return FisherDiagonal(acc / len(ids), "expectation", ids, model.content_hash())
+            for p, sq in zip(probs[:, cls], _tape_squares(model, X, np.full(n, cls))):
+                total += p * sq
+    else:
+        squares = None
+        for cls in range(model.num_classes):
+            factors = dense.factors(np.full(n, cls))
+            weighted = [dense.probs[:, cls:cls + 1] * f.grads ** 2 for f in factors]
+            squares = weighted if squares is None else [
+                acc + w for acc, w in zip(squares, weighted)]
+        total = _factored_diagonal(model.num_params, factors, squares)
+    return FisherDiagonal(total / n, "expectation", ids, model.content_hash())
 
 
 def sample_scores(model, dataset, subset=None, restrict: Mask | None = None) -> list[SampleScore]:
     """Squared gradient norm per sample, optionally summed only over a mask.
 
     This is the scalar used to rank samples: the sample's additive
-    contribution to the diagonal score total.
+    contribution to the diagonal score total. For a dense layer the masked
+    sum of row i's squared weight gradient is sum_jk M_jk a_ij^2 delta_ik^2,
+    where M is the layer's block of the mask (all ones when unrestricted).
     """
     ids = _resolve_subset(dataset, subset)
-    sel = restrict.selected if restrict is not None else None
-    out = []
-    for i in ids:
-        g = ad.log_prob_gradient(model, dataset.inputs[i:i + 1], dataset.labels[i:i + 1])
-        sq = g * g
-        score = float(sq[sel].sum()) if sel is not None else float(sq.sum())
-        out.append(SampleScore(int(i), score))
-    return out
+    X, y = dataset.inputs[ids], dataset.labels[ids]
+    keep = (restrict.as_bool() if restrict is not None
+            else np.ones(model.num_params, dtype=bool))
+    dense = model.dense_pass(X)
+    if dense is None:
+        scores = [float(sq[keep].sum()) for sq in _tape_squares(model, X, y)]
+    else:
+        scores = np.zeros(len(ids), dtype=np.float64)
+        for f in dense.factors(y):
+            scores += _masked_row_squares(f, keep)
+    return [SampleScore(int(i), float(s)) for i, s in zip(ids, scores)]
 
 
 def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,

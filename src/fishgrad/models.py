@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,9 @@ class ParamVector:
         """Writable reshaped view of one segment (shares storage)."""
         seg = self._by_name[name]
         return self.data[seg.offset:seg.offset + seg.length].reshape(seg.shape)
+
+    def segment(self, name: str) -> Segment:
+        return self._by_name[name]
 
     def locate(self, flat_index: int) -> tuple[str, int]:
         """Map a flat index to (segment name, position within segment)."""
@@ -181,6 +185,19 @@ class Model:
     def _activate(self, h):
         return ad.tanh(h) if self.spec.activation == "tanh" else ad.relu(h)
 
+    def dense_layers(self) -> tuple[tuple[str, str], ...]:
+        """(weight, bias) segment names of each dense layer, input side first.
+
+        Empty for a model that is not a plain stack of dense layers; such a
+        model has no per-example gradient factors.
+        """
+        return ()
+
+    def dense_pass(self, X) -> "DensePass | None":
+        """Untaped forward pass over a batch, kept for batched per-example
+        gradients; None when the model has no dense-layer factors."""
+        return DensePass(self, self._check_inputs(X)) if self.dense_layers() else None
+
     # -- forward protocol (subclasses implement logits_tensor or predict) --
 
     def logits_tensor(self, tape: ad.Tape, bound, X) -> ad.Tensor:
@@ -247,6 +264,9 @@ class LogReg(Model):
     def logits_tensor(self, tape, bound, X):
         return ad.bias_add(ad.matmul(tape.constant(X), bound["W"]), bound["b"])
 
+    def dense_layers(self):
+        return (("W", "b"),)
+
 
 class MLP(Model):
     """Fully connected classifier with one or more nonlinear hidden layers."""
@@ -269,6 +289,9 @@ class MLP(Model):
             if i < n_layers - 1:
                 h = self._activate(h)
         return h
+
+    def dense_layers(self):
+        return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
 
 
 class TinyAttention(Model):
@@ -372,6 +395,9 @@ class LinearRegressor(Model):
     def logits_tensor(self, tape, bound, X):
         raise ValueError("linear_regressor has no class logits")
 
+    def dense_layers(self):
+        return (("w", "b"),)
+
     def log_prob_mean(self, tape, X, y) -> ad.Tensor:
         # Unit-variance Gaussian up to a constant fixed at 0:
         # log p = -(f(x)-y)^2 / 2, averaged over the batch.
@@ -392,6 +418,79 @@ class LinearRegressor(Model):
     def log_prob(self, x, y) -> float:
         tape = ad.Tape()
         return float(self.log_prob_mean(tape, np.asarray(x)[None, :], [float(y)]).data)
+
+
+class DenseFactor(NamedTuple):
+    """Per-example gradient factors of one dense layer over a batch.
+
+    Row i's gradient of log p(y_i | x_i) is outer(inputs[i], grads[i]) on the
+    weight segment and grads[i] on the bias segment.
+    """
+
+    weight: Segment
+    bias: Segment
+    inputs: np.ndarray  # A, (n, fan_in): the layer's input
+    grads: np.ndarray   # Delta, (n, fan_out): d log p(y|x) / d layer output
+
+
+class DensePass:
+    """One forward pass through a stack of dense layers, recorded on no tape.
+
+    It keeps each layer's input, so ``factors`` pulls the log-likelihood
+    gradient for any labels back through the whole batch in one pass: the
+    per-example factorisation of Goodfellow, "Efficient Per-Example Gradient
+    Computations" (arXiv:1510.01799). The arithmetic follows the tape's
+    forward and backward rules op for op.
+    """
+
+    def __init__(self, model: Model, X: np.ndarray):
+        self.model = model
+        self._names = names = model.dense_layers()
+        self._tanh = model.spec.activation == "tanh"
+        self._weights, self._inputs = [], []
+        a = X
+        for i, (w, b) in enumerate(names):
+            W = model.params.view(w)
+            W = W.reshape(W.shape[0], -1)  # the regressor's (d,) weight is one output column
+            z = a @ W
+            z += model.params.view(b)
+            self._weights.append(W)
+            self._inputs.append(a)
+            if i < len(names) - 1:
+                a = np.tanh(z, out=z) if self._tanh else np.maximum(z, 0.0, out=z)
+        self.output = z
+        self.probs = None
+        if model.is_classifier:
+            shifted = z - z.max(axis=1, keepdims=True)
+            self.probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+
+    def factors(self, y) -> list[DenseFactor]:
+        """Factors of log p(y_i | x_i) for class ids or regression targets ``y``."""
+        if self.model.is_classifier:
+            y = self.model._check_labels(y)
+            delta = -self.probs
+            delta[np.arange(len(y)), y] += 1.0
+        else:
+            delta = np.asarray(y, dtype=np.float64)[:, None] - self.output
+        params = self.model.params
+        out = []
+        for i in range(len(self._names) - 1, -1, -1):
+            w, b = self._names[i]
+            out.append(DenseFactor(params.segment(w), params.segment(b),
+                                   self._inputs[i], delta))
+            if i:
+                # The activation's slope, read off its output: 1 - tanh^2, or
+                # relu's output > 0 exactly where its input is. In-place
+                # updates keep one (n x width) temporary alive, not three.
+                a = self._inputs[i]
+                if self._tanh:
+                    slope = a * a
+                    np.subtract(1.0, slope, out=slope)
+                else:
+                    slope = a > 0.0
+                delta = delta @ self._weights[i].T
+                delta *= slope
+        return out[::-1]
 
 
 def gaussian_log_prob(model: Model, x, y) -> float:

@@ -10,6 +10,7 @@ threshold, so under-trained models keep going.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,12 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:

@@ -162,7 +162,7 @@ class TestManifest:
                 "--mode", "fish", "--sparsity-levels", "0.3,0.1",
                 "--sample-levels", "8,2", "--seeds", "0,1",
                 "--config", '{"learning_rate": 0.1, "max_epochs": 2}']
-        cli.main(argv + ["--threads", "8", "--out", str(w / "serial.json")])
+        cli.main(argv + ["--threads", "1", "--out", str(w / "serial.json")])
         monkeypatch.setenv("FISHGRAD_THREADS", "2")
         cli.main(argv + ["--threads", "8", "--out", str(w / "capped.json")])
         serial = json.loads((w / "serial.json").read_text())["result"]

@@ -239,3 +239,70 @@ class TestMaskInvariants:
         again_mask = fi.mask_from_json(fi.mask_to_json(mask))
         np.testing.assert_array_equal(again_mask.selected, mask.selected)
         assert again_mask.model_hash == "abc"
+
+
+EQUIVALENCE_SPECS = [*mz.zoo_specs(seed=5),
+                     mz.ModelSpec("mlp", input_dim=4, hidden=(7, 5), num_classes=3,
+                                  seed=6, activation="relu")]
+
+
+def random_dataset(spec, n, rng):
+    """Rows a model of ``spec`` accepts: token ids for attention, features otherwise."""
+    if spec.kind == "tiny_attention":
+        X = rng.integers(0, spec.input_dim, size=(n, spec.max_len))
+    else:
+        X = rng.normal(size=(n, spec.input_dim))
+    if spec.kind == "linear_regressor":
+        return dataset_of(X, rng.normal(size=n))
+    return dio.Dataset(X, rng.integers(0, spec.num_classes, size=n), "multiclass",
+                       spec.num_classes, token_inputs=spec.kind == "tiny_attention")
+
+
+class TestFactoredScoresMatchTapeLoop:
+    """Every scorer equals a loop over ``ad.per_sample_gradients``, the
+    independent per-row tape oracle, whichever path computes it."""
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}-{len(s.hidden)}")
+    def test_all_scorers_match_oracle(self, spec):
+        rng = np.random.default_rng(21)
+        model = mz.build(spec)
+        ds = random_dataset(spec, 12, rng)
+        ids = np.array([7, 2, 9, 2, 0, 11])  # unsorted, with a duplicate
+        X, y = ds.inputs[ids], ds.labels[ids]
+        grads = ad.per_sample_gradients(model, X, y)
+        restrict = fi.random_mask(model.num_params, 0.3, seed=4)
+        keep = restrict.as_bool()
+
+        empirical = sum(g * g for g in grads) / len(ids)
+        assert np.abs(fi.empirical_fisher(model, ds, ids).values - empirical).max() <= 1e-12
+        for mask, sel in ((None, slice(None)), (restrict, keep)):
+            scores = fi.sample_scores(model, ds, ids, restrict=mask)
+            assert [s.sample_id for s in scores] == ids.tolist()
+            want = [float((g * g)[sel].sum()) for g in grads]
+            assert np.abs(np.subtract([s.score for s in scores], want)).max() <= 1e-12
+        if model.is_classifier:
+            expected = np.zeros(model.num_params)
+            for x in X:
+                probs = np.exp(model.log_probs(x))
+                for cls in range(spec.num_classes):
+                    (g,) = ad.per_sample_gradients(model, x[None], np.array([cls]))
+                    expected += probs[cls] * g * g
+            expected /= len(ids)
+            got = fi.expectation_fisher(model, ds, ids).values
+            assert np.abs(got - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", EQUIVALENCE_SPECS,
+                             ids=lambda s: f"{s.kind}-{s.activation}-{len(s.hidden)}")
+    def test_repeat_calls_are_byte_identical(self, spec):
+        model = mz.build(spec)
+        ds = random_dataset(spec, 10, np.random.default_rng(3))
+        mask = fi.random_mask(model.num_params, 0.5, seed=1)
+        scorers = [lambda: fi.empirical_fisher(model, ds).values,
+                   lambda: np.array([s.score for s in fi.sample_scores(model, ds)]),
+                   lambda: np.array([s.score for s in
+                                     fi.sample_scores(model, ds, restrict=mask)])]
+        if model.is_classifier:
+            scorers.append(lambda: fi.expectation_fisher(model, ds).values)
+        for scorer in scorers:
+            assert scorer().tobytes() == scorer().tobytes()

@@ -191,6 +191,13 @@ class TestConfigValidation:
         dict(patience=0),
         dict(optimizer="adagrad"),
         dict(loss="hinge"),
+        dict(learning_rate=float("inf")),
+        dict(learning_rate=float("nan")),
+        dict(eps=-1.0),
+        dict(eps=0.0),
+        dict(eps=float("nan")),
+        dict(eps=float("inf")),
+        dict(max_epochs=0),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
