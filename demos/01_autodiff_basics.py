@@ -25,8 +25,10 @@ print("gradient over the flat parameter vector:")
 for seg in params.segments:
     print(f"  {seg.name}: {grad[seg.offset:seg.offset + seg.length].round(4)}")
 
-# The same machinery drives whole models. Check a model gradient against
-# central finite differences, the house oracle for every backward rule.
+# Whole models get their training gradient the same way; a stack of dense
+# layers applies the same backward rules without recording a tape. Check a
+# model gradient against central finite differences, the house oracle for
+# every backward rule.
 model = mz.build(mz.ModelSpec("mlp", input_dim=4, hidden=(8,), num_classes=3, seed=0))
 rng = np.random.default_rng(0)
 X = rng.normal(size=(5, 4))

@@ -9,6 +9,12 @@ Contract: a tape records exactly one forward pass. ``gradient`` may be called
 repeatedly on the same tape (adjoints are recomputed from scratch each call);
 start a new Tape for a new forward pass. The op set is deliberately small and
 fixed so every backward rule below can be audited by hand.
+
+``loss_gradient`` takes a model's untaped ``dense_pass`` when it has one (a
+plain stack of dense layers: logreg, mlp, linear_regressor), which applies
+the same rules without recording closures. The tape is the fallback for
+every other model (tiny_attention) and the reference the dense path is
+tested against, byte for byte.
 """
 
 from __future__ import annotations
@@ -89,16 +95,15 @@ class Tape:
         """Register a flat parameter vector; returns one leaf per segment.
 
         ``params`` needs ``.data`` (flat float64) and ``.segments`` with
-        ``name``/``offset``/``shape`` fields. Gradients assemble back into a
-        flat vector aligned with ``params.data``.
+        ``name``/``offset``/``shape``/``length`` fields. Gradients assemble
+        back into a flat vector aligned with ``params.data``.
         """
         bound: dict[str, Tensor] = {}
         for seg in params.segments:
-            length = int(np.prod(seg.shape)) if seg.shape else 1
-            view = np.asarray(params.data[seg.offset:seg.offset + length],
+            view = np.asarray(params.data[seg.offset:seg.offset + seg.length],
                               dtype=np.float64).reshape(seg.shape)
             t = self._record("param", (), view, None)
-            self._param_slots.append((t.node, seg.offset, length))
+            self._param_slots.append((t.node, seg.offset, seg.length))
             bound[seg.name] = t
         self._num_params = max(self._num_params, len(params.data))
         return bound
@@ -354,7 +359,14 @@ def log_prob_gradient(model, X, y) -> np.ndarray:
 
 
 def loss_gradient(model, X, y) -> tuple[float, np.ndarray]:
-    """(mean loss value, d(mean loss)/dtheta) over a batch."""
+    """(mean loss value, d(mean loss)/dtheta) over a batch.
+
+    A stack of dense layers takes its untaped ``dense_pass``; any other
+    model records the loss on a tape.
+    """
+    dense = model.dense_pass(X)
+    if dense is not None:
+        return dense.loss_gradient(y)
     tape = Tape()
     out = model.loss_mean(tape, X, y)
     return float(out.data), tape.gradient(1.0, output=out)

@@ -58,6 +58,19 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write a temporary file beside ``path``, then rename it over ``path``:
+    an output is either left as it was or replaced whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _write_result(path: str, manifest: dict, result: dict, started: float) -> None:
     payload = {
         "manifest": manifest,
@@ -65,9 +78,7 @@ def _write_result(path: str, manifest: dict, result: dict, started: float) -> No
                    "seconds": round(time.time() - started, 3)},
         "result": result,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_json_arg(value: str | None) -> dict:
@@ -239,12 +250,8 @@ def _cmd_grid(args) -> int:
     model_cfg = _load_json_arg(args.model_config)
     probe = _model_for_data(model_cfg, dataset, args.seed)
     cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), args.seed))
-    env_cap = int(os.environ.get("FISHGRAD_THREADS", "0") or 0)
-    workers = args.threads
-    if env_cap > 0:
-        workers = min(workers, env_cap)
     task = ird_mod.Task(train_ds, valid_ds, args.metric)
-    result = ird_mod.run_grid(spec, task, probe.spec, cfg, max_workers=max(1, workers))
+    result = ird_mod.run_grid(spec, task, probe.spec, cfg)
     config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
               "metric": args.metric, "valid_fraction": args.valid_fraction,
               "train": cfg.train.__dict__ | {"betas": list(cfg.train.betas)}}
@@ -268,14 +275,13 @@ def _cmd_report(args) -> int:
                                         "candidate": args.candidate}, args.seed)
     ref = f"manifest-sha256: {manifest_hash(manifest)}"
     os.makedirs(args.out, exist_ok=True)
-    csv_text = rep.comparison_csv(baseline, candidate, comparison, annotation=ref)
-    with open(os.path.join(args.out, "comparison.csv"), "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(args.out, "baseline.svg"), "w", encoding="utf-8") as fh:
-        fh.write(rep.render_heatmap(baseline, title="baseline", annotation=ref))
-    with open(os.path.join(args.out, "candidate.svg"), "w", encoding="utf-8") as fh:
-        fh.write(rep.render_heatmap(candidate, comparison, title="candidate",
-                                    annotation=ref))
+    _write_text(os.path.join(args.out, "comparison.csv"),
+                rep.comparison_csv(baseline, candidate, comparison, annotation=ref))
+    _write_text(os.path.join(args.out, "baseline.svg"),
+                rep.render_heatmap(baseline, title="baseline", annotation=ref))
+    _write_text(os.path.join(args.out, "candidate.svg"),
+                rep.render_heatmap(candidate, comparison, title="candidate",
+                                   annotation=ref))
     _write_result(os.path.join(args.out, "comparison.json"), manifest,
                   comparison.to_json(), started)
     return 0
@@ -358,7 +364,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--valid-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; the grid runs serially")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_grid)
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,16 +27,13 @@ from . import autodiff as ad
 class Segment:
     """Named contiguous slice of the flat parameter vector."""
 
-    __slots__ = ("name", "offset", "shape")
+    __slots__ = ("name", "offset", "shape", "length")
 
     def __init__(self, name: str, offset: int, shape: tuple[int, ...]):
         self.name = name
         self.offset = offset
         self.shape = tuple(shape)
-
-    @property
-    def length(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        self.length = math.prod(self.shape)
 
     def __repr__(self) -> str:
         return f"Segment({self.name!r}, offset={self.offset}, shape={self.shape})"
@@ -232,10 +230,7 @@ class Model:
 
     def predictions(self, X) -> np.ndarray:
         """Argmax class per row; ties resolve to the lowest class index."""
-        tape = ad.Tape()
-        bound = tape.bind(self.params)
-        logits = self.logits_tensor(tape, bound, self._check_inputs(X))
-        return np.argmax(logits.data, axis=1)
+        return np.argmax(self.dense_pass(X).output, axis=1)
 
     def _check_inputs(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -411,9 +406,7 @@ class LinearRegressor(Model):
         return ad.mse(pred, np.asarray(y, dtype=np.float64))
 
     def predictions(self, X) -> np.ndarray:
-        tape = ad.Tape()
-        bound = tape.bind(self.params)
-        return self._predict_tensor(tape, bound, self._check_inputs(X)).data.copy()
+        return self.dense_pass(X).output[:, 0]
 
     def log_prob(self, x, y) -> float:
         tape = ad.Tape()
@@ -436,11 +429,12 @@ class DenseFactor(NamedTuple):
 class DensePass:
     """One forward pass through a stack of dense layers, recorded on no tape.
 
-    It keeps each layer's input, so ``factors`` pulls the log-likelihood
-    gradient for any labels back through the whole batch in one pass: the
-    per-example factorisation of Goodfellow, "Efficient Per-Example Gradient
-    Computations" (arXiv:1510.01799). The arithmetic follows the tape's
-    forward and backward rules op for op.
+    It keeps each layer's input, so one batched backward pass gives either
+    the per-example factors of log p(y|x) (``factors``: Goodfellow,
+    "Efficient Per-Example Gradient Computations", arXiv:1510.01799) or the
+    batch gradient of the mean training loss, A^T Delta per layer
+    (``loss_gradient``). The arithmetic follows the tape's forward and
+    backward rules op for op, so both match the tape byte for byte.
     """
 
     def __init__(self, model: Model, X: np.ndarray):
@@ -459,25 +453,22 @@ class DensePass:
             if i < len(names) - 1:
                 a = np.tanh(z, out=z) if self._tanh else np.maximum(z, 0.0, out=z)
         self.output = z
-        self.probs = None
-        if model.is_classifier:
-            shifted = z - z.max(axis=1, keepdims=True)
-            self.probs = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
 
-    def factors(self, y) -> list[DenseFactor]:
-        """Factors of log p(y_i | x_i) for class ids or regression targets ``y``."""
-        if self.model.is_classifier:
-            y = self.model._check_labels(y)
-            delta = -self.probs
-            delta[np.arange(len(y)), y] += 1.0
-        else:
-            delta = np.asarray(y, dtype=np.float64)[:, None] - self.output
-        params = self.model.params
-        out = []
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """Log-softmax of a classifier's logits, as the tape computes it."""
+        shifted = self.output - self.output.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return np.exp(self.log_probs)
+
+    def _backward(self, delta: np.ndarray):
+        """Yield (layer index, gradient at the layer's output), output layer
+        first, pulling ``delta`` back through every hidden activation."""
         for i in range(len(self._names) - 1, -1, -1):
-            w, b = self._names[i]
-            out.append(DenseFactor(params.segment(w), params.segment(b),
-                                   self._inputs[i], delta))
+            yield i, delta
             if i:
                 # The activation's slope, read off its output: 1 - tanh^2, or
                 # relu's output > 0 exactly where its input is. In-place
@@ -490,7 +481,48 @@ class DensePass:
                     slope = a > 0.0
                 delta = delta @ self._weights[i].T
                 delta *= slope
-        return out[::-1]
+
+    def factors(self, y) -> list[DenseFactor]:
+        """Factors of log p(y_i | x_i) for class ids or regression targets ``y``."""
+        if self.model.is_classifier:
+            y = self.model._check_labels(y)
+            delta = -self.probs
+            delta[np.arange(len(y)), y] += 1.0
+        else:
+            delta = np.asarray(y, dtype=np.float64)[:, None] - self.output
+        segment = self.model.params.segment
+        return [DenseFactor(segment(self._names[i][0]), segment(self._names[i][1]),
+                            self._inputs[i], d)
+                for i, d in self._backward(delta)][::-1]
+
+    def loss_gradient(self, y) -> tuple[float, np.ndarray]:
+        """(mean training loss, its flat gradient): cross-entropy for a
+        classifier, squared error for the regressor. Like the tape, it forms
+        no gradient toward the data matrix."""
+        m = len(self.output)
+        if self.model.is_classifier:
+            y = self.model._check_labels(y)
+            if len(y) != m:
+                raise ad.ShapeMismatch("nll", f"{m} rows vs {len(y)} targets")
+            rows = np.arange(m)
+            value = -self.log_probs[rows, y].sum() / m
+            gl = np.zeros_like(self.output)
+            gl[rows, y] = -1.0 / m
+            delta = gl - self.probs * gl.sum(axis=1, keepdims=True)
+        else:
+            y = np.asarray(y, dtype=np.float64)
+            if y.shape != (m,):
+                raise ad.ShapeMismatch("mse", f"pred {(m,)} vs target {y.shape}")
+            diff = self.output[:, 0] - y
+            value = (diff * diff).sum() / m
+            delta = (2.0 * diff * (1.0 / m))[:, None]
+        params = self.model.params
+        grad = np.zeros(len(params), dtype=np.float64)
+        for i, d in self._backward(delta):
+            w, b = (params.segment(name) for name in self._names[i])
+            grad[w.offset:w.offset + w.length] = (self._inputs[i].T @ d).ravel()
+            grad[b.offset:b.offset + b.length] = d.sum(axis=0)
+        return float(value), grad
 
 
 def gaussian_log_prob(model: Model, x, y) -> float:

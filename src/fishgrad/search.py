@@ -355,8 +355,9 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     sample draw, same training seed) and then map the trace records onto the
     remaining cells, so the two modes are comparable cell for cell. Cell
     RNG derives from (master seed, cell coordinates), making results
-    independent of execution order; ``max_workers`` > 1 fans cells out to a
-    thread pool.
+    independent of execution order. Everything runs in order on the calling
+    thread: under the interpreter lock a thread pool ran slower than one
+    thread. ``max_workers`` is accepted for compatibility and ignored.
 
     Models are rebuilt per master seed from ``model_spec`` (with a derived
     init seed); pass ``initial_model`` instead to start every seed from one
@@ -367,34 +368,20 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
         raise ValueError("provide exactly one of model_spec / initial_model")
     cells: list[GridCell] = []
     traces: list[dict] = []
-    jobs = []
+
+    def fresh_model(seed):
+        if initial_model is not None:
+            return initial_model.clone()
+        return mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
+
     for seed in spec.seeds:
         if spec.mode == "fish_random":
             for ri, ci in staircase_cells(len(spec.sparsity_levels)):
-                jobs.append(("cell", seed, ri, ci))
+                cells.append(_eval_cell(spec, task, fresh_model(seed), cfg, seed, ri, ci))
         else:
-            jobs.append(("trace", seed, 0, 0))
-
-    def run_job(job):
-        kind, seed, ri, ci = job
-        if initial_model is not None:
-            model = initial_model.clone()
-        else:
-            model = mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
-        if kind == "cell":
-            return [_eval_cell(spec, task, model, cfg, seed, ri, ci)], None
-        return _eval_trace(spec, task, model, cfg, seed)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outputs = list(pool.map(run_job, jobs))
-    else:
-        outputs = [run_job(j) for j in jobs]
-    for out_cells, out_trace in outputs:
-        cells.extend(out_cells)
-        if out_trace is not None:
-            traces.append(out_trace)
+            trace_cells, trace = _eval_trace(spec, task, fresh_model(seed), cfg, seed)
+            cells.extend(trace_cells)
+            traces.append(trace)
     return GridResult(spec, cells, traces)
 
 

@@ -105,6 +105,57 @@ class TestFiniteDifferenceOracle:
         assert rel.max() <= 1e-5
 
 
+DENSE_SPECS = [
+    mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=1),
+    mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=3, seed=2),
+    mz.ModelSpec("mlp", input_dim=5, hidden=(7, 6), num_classes=3, seed=3,
+                 activation="relu"),
+    mz.ModelSpec("linear_regressor", input_dim=7, num_classes=0, seed=4),
+]
+
+
+class TestDensePassMatchesTape:
+    """The untaped dense path gives the tape's loss, gradient and outputs
+    byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 32])
+    @pytest.mark.parametrize("spec", DENSE_SPECS,
+                             ids=["logreg", "mlp-tanh", "mlp-relu-2-hidden", "linear_regressor"])
+    def test_loss_gradient_and_predictions(self, spec, n):
+        model = mz.build(spec)
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, spec.input_dim))
+        if spec.kind == "linear_regressor":
+            y = rng.normal(size=n)
+        else:
+            y = rng.integers(0, spec.num_classes, size=n)
+        assert model.dense_pass(X) is not None
+        tape = ad.Tape()
+        out = model.loss_mean(tape, X, y)
+        taped = tape.gradient(1.0, output=out)
+        value, grad = ad.loss_gradient(model, X, y)
+        assert value == float(out.data)
+        assert grad.tobytes() == taped.tobytes()
+
+        tape = ad.Tape()
+        bound = tape.bind(model.params)
+        if spec.kind == "linear_regressor":
+            expected = model._predict_tensor(tape, bound, X).data
+        else:
+            expected = np.argmax(model.logits_tensor(tape, bound, X).data, axis=1)
+        got = model.predictions(X)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_label_count_checked(self):
+        model = mz.build(DENSE_SPECS[0])
+        X = np.zeros((3, 6))
+        with pytest.raises(ad.ShapeMismatch, match="nll"):
+            ad.loss_gradient(model, X, [0, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            ad.loss_gradient(model, X, [0, 1, 3])
+
+
 class TestTapeContract:
     def test_backward_before_forward_raises(self):
         with pytest.raises(ad.BackwardError):

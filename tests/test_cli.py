@@ -169,6 +169,46 @@ class TestManifest:
         capped = json.loads((w / "capped.json").read_text())["result"]
         assert serial == capped
 
+    def test_failed_write_keeps_previous_output(self, workspace, monkeypatch):
+        """A write that raises midway leaves the old file whole and no
+        temporary file behind."""
+        w = workspace
+        out = w / "result.json"
+        out.write_text("previous\n")
+        with pytest.raises(TypeError):
+            cli._write_result(str(out), {}, {"values": [1.0, object()]}, time.time())
+        assert out.read_text() == "previous\n"
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cli._write_result(str(out), {}, {"values": [1.0]}, time.time())
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in w.iterdir()) == ["result.json"]
+
+    def test_failed_report_keeps_previous_outputs(self, workspace, capsys, monkeypatch):
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--noise", "0.3",
+                  "--seed", "1", "--out", str(w / "d.jsonl")])
+        cli.main(["grid", "--data", str(w / "d.jsonl"),
+                  "--model-config", '{"kind": "logreg", "seed": 2}',
+                  "--mode", "fish", "--sparsity-levels", "0.3",
+                  "--sample-levels", "4", "--seeds", "0",
+                  "--config", '{"max_epochs": 2}', "--out", str(w / "g.json")])
+        argv = ["report", "--baseline", str(w / "g.json"),
+                "--candidate", str(w / "g.json"), "--out", str(w / "rpt")]
+        assert cli.main(argv) == 0
+        before = {p.name: p.read_bytes() for p in (w / "rpt").iterdir()}
+
+        def broken_heatmap(*args, **kwargs):
+            raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(cli.rep, "render_heatmap", broken_heatmap)
+        assert cli.main(argv) == 3
+        assert {p.name: p.read_bytes() for p in (w / "rpt").iterdir()} == before
+
     def test_svg_references_manifest(self, workspace, capsys):
         w = workspace
         cli.main(["gen-data", "--n", "60", "--dims", "4", "--noise", "0.3",

@@ -269,6 +269,25 @@ class TestRunGrid:
                              max_workers=4)
         assert serial.to_json() == pooled.to_json()
 
+    def test_grid_trains_on_calling_thread(self, blob_splits, monkeypatch):
+        """max_workers starts no threads: every fine-tune runs on the caller."""
+        import threading
+        train, valid = blob_splits
+        threads = []
+        real = tr.train_masked
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "train_masked", spy)
+        spec = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1))
+        sr.run_grid(spec, sr.Task(train, valid),
+                    mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
+                    quick_cfg(), max_workers=4)
+        assert len(threads) == 6
+        assert set(threads) == {threading.get_ident()}
+
     def test_json_round_trip(self, blob_splits, tmp_path):
         train, valid = blob_splits
         spec = sr.GridSpec((0.4, 0.2), (16, 4), "ird", (0,))
