@@ -28,6 +28,7 @@ from . import search as ird_mod
 from . import models as mz
 from . import report as rep
 from . import training as tr
+from .fileio import write_atomic
 
 
 class UsageError(Exception):
@@ -58,19 +59,6 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write a temporary file beside ``path``, then rename it over ``path``:
-    an output is either left as it was or replaced whole."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_result(path: str, manifest: dict, result: dict, started: float) -> None:
     payload = {
         "manifest": manifest,
@@ -78,7 +66,7 @@ def _write_result(path: str, manifest: dict, result: dict, started: float) -> No
                    "seconds": round(time.time() - started, 3)},
         "result": result,
     }
-    _write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _load_json_arg(value: str | None) -> dict:
@@ -250,10 +238,9 @@ def _cmd_grid(args) -> int:
     model_cfg = _load_json_arg(args.model_config)
     probe = _model_for_data(model_cfg, dataset, args.seed)
     cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), args.seed))
-    task = ird_mod.Task(train_ds, valid_ds, args.metric)
-    result = ird_mod.run_grid(spec, task, probe.spec, cfg)
+    result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg)
     config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
-              "metric": args.metric, "valid_fraction": args.valid_fraction,
+              "valid_fraction": args.valid_fraction,
               "train": cfg.train.__dict__ | {"betas": list(cfg.train.betas)}}
     manifest = _manifest("grid", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, result.to_json(), started)
@@ -275,13 +262,13 @@ def _cmd_report(args) -> int:
                                         "candidate": args.candidate}, args.seed)
     ref = f"manifest-sha256: {manifest_hash(manifest)}"
     os.makedirs(args.out, exist_ok=True)
-    _write_text(os.path.join(args.out, "comparison.csv"),
-                rep.comparison_csv(baseline, candidate, comparison, annotation=ref))
-    _write_text(os.path.join(args.out, "baseline.svg"),
-                rep.render_heatmap(baseline, title="baseline", annotation=ref))
-    _write_text(os.path.join(args.out, "candidate.svg"),
-                rep.render_heatmap(candidate, comparison, title="candidate",
-                                   annotation=ref))
+    write_atomic(os.path.join(args.out, "comparison.csv"),
+                 rep.comparison_csv(baseline, candidate, comparison, annotation=ref))
+    write_atomic(os.path.join(args.out, "baseline.svg"),
+                 rep.render_heatmap(baseline, title="baseline", annotation=ref))
+    write_atomic(os.path.join(args.out, "candidate.svg"),
+                 rep.render_heatmap(candidate, comparison, title="candidate",
+                                    annotation=ref))
     _write_result(os.path.join(args.out, "comparison.json"), manifest,
                   comparison.to_json(), started)
     return 0
@@ -360,7 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sparsity-levels", default="0.025,0.005,0.001,0.0002")
     p.add_argument("--sample-levels", default="128,32,16,1")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--metric", default="auto")
     p.add_argument("--config")
     p.add_argument("--valid-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_atomic
+
 TASKS = ("binary", "multiclass", "regression")
 GENERATORS = ("gaussian_blobs", "xor_ring", "linear_regression", "token_topic")
 SEP = "[SEP]"
@@ -299,35 +301,35 @@ def load(path, format: str | None = None, dim: int = 2048, seed: int = 0) -> Dat
 
 
 def save(dataset: Dataset, path, format: str = "jsonl", manifest: dict | None = None) -> None:
-    """Write a dataset back out in one of the loadable formats."""
+    """Write a dataset back out in one of the loadable formats; the text is
+    built whole first, so a failed save leaves any previous file as it was."""
+    if format not in ("jsonl", "tsv"):
+        raise ValueError(f"unknown format {format!r}")
     if dataset.token_inputs:
         raise ValueError("token datasets have no on-disk format; save features or text")
     labels = dataset.labels
-    with open(path, "w", encoding="utf-8") as fh:
-        if format == "jsonl":
-            if manifest is not None:
-                fh.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
-            for i in range(len(dataset)):
-                if dataset.texts is not None:
-                    row = {"text1": dataset.texts[i][0], "text2": dataset.texts[i][1],
-                           "label": _plain(labels[i])}
-                else:
-                    row = {"features": [float(v) for v in dataset.inputs[i]],
-                           "label": _plain(labels[i])}
-                fh.write(json.dumps(row) + "\n")
-        elif format == "tsv":
+    lines = []
+    if format == "jsonl":
+        if manifest is not None:
+            lines.append(json.dumps({"manifest": manifest}, sort_keys=True))
+        for i in range(len(dataset)):
             if dataset.texts is not None:
-                fh.write("text1\ttext2\tlabel\n")
-                for i in range(len(dataset)):
-                    fh.write(f"{dataset.texts[i][0]}\t{dataset.texts[i][1]}\t{_plain(labels[i])}\n")
+                row = {"text1": dataset.texts[i][0], "text2": dataset.texts[i][1],
+                       "label": _plain(labels[i])}
             else:
-                cols = [f"f{i}" for i in range(dataset.dim)] + ["label"]
-                fh.write("\t".join(cols) + "\n")
-                for i in range(len(dataset)):
-                    vals = [repr(float(v)) for v in dataset.inputs[i]]
-                    fh.write("\t".join(vals + [str(_plain(labels[i]))]) + "\n")
-        else:
-            raise ValueError(f"unknown format {format!r}")
+                row = {"features": [float(v) for v in dataset.inputs[i]],
+                       "label": _plain(labels[i])}
+            lines.append(json.dumps(row))
+    elif dataset.texts is not None:
+        lines.append("text1\ttext2\tlabel")
+        for i in range(len(dataset)):
+            lines.append("\t".join([*dataset.texts[i], str(_plain(labels[i]))]))
+    else:
+        lines.append("\t".join([f"f{i}" for i in range(dataset.dim)] + ["label"]))
+        for i in range(len(dataset)):
+            vals = [repr(float(v)) for v in dataset.inputs[i]]
+            lines.append("\t".join(vals + [str(_plain(labels[i]))]))
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def _plain(v):

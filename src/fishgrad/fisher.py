@@ -19,7 +19,6 @@ batched backward pass (``models.DensePass``). A model without that structure
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -288,14 +287,3 @@ def mask_to_json(m: Mask) -> dict:
 def mask_from_json(d: dict) -> Mask:
     return Mask(np.asarray(d["selected"]), d["sparsity"], d["num_params"],
                 d.get("model_hash"))
-
-
-def save_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

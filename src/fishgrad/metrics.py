@@ -133,16 +133,11 @@ def default_metric(task: str) -> str:
     return "pearson_spearman_mean" if task == "regression" else "accuracy"
 
 
-def resolve_metric(metric: str, task: str) -> str:
-    return default_metric(task) if metric == "auto" else metric
+def check_metric(metric: str, model, dataset) -> str:
+    """The metric's name, with ``"auto"`` resolved for ``dataset``'s task.
 
-
-def score(metric: str, model, dataset) -> float:
-    """Run inference on ``dataset`` and apply the named metric.
-
-    Classifier metrics compare argmax predictions against integer labels
-    (ties to the lowest class); regression metrics correlate real-valued
-    predictions with the targets.
+    Raises ValueError for an unknown metric, one that does not fit the
+    model's head, or a correlation metric on constant labels.
     """
     if metric == "auto":
         metric = default_metric(dataset.task)
@@ -152,5 +147,18 @@ def score(metric: str, model, dataset) -> float:
     if regression_metric == model.is_classifier:
         raise ValueError(f"metric {metric!r} incompatible with "
                          f"{'classifier' if model.is_classifier else 'regressor'} head")
+    if regression_metric and np.ptp(dataset.labels) == 0:
+        raise ValueError(f"metric {metric!r} is undefined on constant labels")
+    return metric
+
+
+def score(metric: str, model, dataset) -> float:
+    """Run inference on ``dataset`` and apply the named metric.
+
+    Classifier metrics compare argmax predictions against integer labels
+    (ties to the lowest class); regression metrics correlate real-valued
+    predictions with the targets.
+    """
+    metric = check_metric(metric, model, dataset)
     preds = model.predictions(dataset.inputs)
     return _FUNCS[metric](preds, dataset.labels)

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from .fileio import write_atomic
 
 
 class Segment:
@@ -576,10 +577,7 @@ def save_checkpoint(model: Model, path) -> None:
                      for s in model.params.segments],
         "hash": hashlib.sha256(payload).hexdigest(),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
+    write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 def load_checkpoint(path) -> Model:

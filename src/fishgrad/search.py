@@ -5,11 +5,13 @@ iteration (while both sets still have more than one element) first keeps the
 half of the samples with the largest squared-gradient scores, scores that
 configuration, then keeps the half of the masked parameters with the largest
 diagonal scores recomputed on the surviving samples, and scores again. Every
-score is a full masked fine-tune of a fresh copy of the initial model
-followed by a validation-metric evaluation, so recorded scores are mutually
-comparable. The inverse variant keeps the below-median halves at both
-decision points instead and is used as a sanity control: it should not beat
-the forward search.
+score is the last validation reading of a full masked fine-tune of a fresh
+copy of the initial model, so recorded scores are mutually comparable. The
+reading uses ``TrainConfig.metric``, the same metric the fine-tune
+early-stops on; the search itself neither resolves nor computes a metric.
+The inverse variant keeps the below-median halves at both decision points
+instead and is used as a sanity control: it should not beat the forward
+search.
 
 The grid runner replays the same trajectory onto a (samples x sparsity)
 staircase of cells and can also fill those cells with the random-sample
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import metrics as met
 from . import models as mz
 from . import training as tr
+from .fileio import write_atomic
 from .fisher import (Mask, SampleSubset, empirical_fisher, mask_size,
                      sample_scores, top_k_mask, top_k_within)
 
@@ -47,7 +49,6 @@ class IRDConfig:
     """
 
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    metric: str = "auto"
     restrict_sample_scores: bool = False
     train_on_subset: bool = False
     seed: int = 0
@@ -117,14 +118,12 @@ def _score_from_json(value) -> float:
 def _score_config(initial_model, mask: Mask, train_ds, valid_ds, subset_ids,
                   cfg: IRDConfig, train_seed: int) -> float:
     """Fine-tune a fresh copy of the initial model under ``mask`` and return
-    the validation metric; NaN on divergence so a search can continue."""
+    its last validation reading; NaN on divergence so a search can continue."""
     candidate = initial_model.clone()
     fit_ds = train_ds.subset(subset_ids) if cfg.train_on_subset else train_ds
     run_cfg = replace(cfg.train, seed=train_seed)
-    metric = met.resolve_metric(cfg.metric, valid_ds.task)
     try:
-        tr.train_masked(candidate, mask, fit_ds, valid_ds, run_cfg)
-        return met.score(metric, candidate, valid_ds)
+        return tr.train_masked(candidate, mask, fit_ds, valid_ds, run_cfg).val_metrics[-1]
     except tr.TrainingDiverged:
         return float("nan")
 
@@ -330,11 +329,10 @@ class GridResult:
 
 @dataclass
 class Task:
-    """A dataset split plus the metric the search optimizes."""
+    """The training and validation splits a grid fine-tunes and scores on."""
 
     train: "Dataset"
     valid: "Dataset"
-    metric: str = "auto"
 
 
 def _draw_ids(n_total: int, n_draw: int, seed: int) -> np.ndarray:
@@ -353,11 +351,13 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     drawn random samples, a top-k mask at the cell's sparsity, one masked
     fine-tune. ird / ird_inverse evaluate the initial cell identically (same
     sample draw, same training seed) and then map the trace records onto the
-    remaining cells, so the two modes are comparable cell for cell. Cell
-    RNG derives from (master seed, cell coordinates), making results
-    independent of execution order. Everything runs in order on the calling
-    thread: under the interpreter lock a thread pool ran slower than one
-    thread. ``max_workers`` is accepted for compatibility and ignored.
+    remaining cells, so the two modes are comparable cell for cell. A
+    cell's score is its fine-tune's last validation reading on
+    ``cfg.train.metric``. Cell RNG derives from (master seed, cell
+    coordinates), making results independent of execution order. Everything
+    runs in order on the calling thread: under the interpreter lock a thread
+    pool ran slower than one thread. ``max_workers`` is accepted for
+    compatibility and ignored.
 
     Models are rebuilt per master seed from ``model_spec`` (with a derived
     init seed); pass ``initial_model`` instead to start every seed from one
@@ -385,18 +385,13 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     return GridResult(spec, cells, traces)
 
 
-def _task_metric(task: Task, cfg: IRDConfig) -> str:
-    return task.metric if task.metric != "auto" else cfg.metric
-
-
 def _eval_cell(spec, task, model, cfg, seed, ri, ci) -> GridCell:
     sparsity = spec.sparsity_levels[ri]
     n_samples = spec.sample_levels[ci]
     ids = _draw_ids(len(task.train), n_samples, _derive_seed(seed, ri, ci, 0))
-    cell_cfg = replace(cfg, metric=_task_metric(task, cfg))
     fisher = empirical_fisher(model, task.train, ids)
     mask = top_k_mask(fisher, sparsity=sparsity)
-    score = _score_config(model, mask, task.train, task.valid, ids, cell_cfg,
+    score = _score_config(model, mask, task.train, task.valid, ids, cfg,
                           _derive_seed(seed, ri, ci, 1))
     status = "ok" if math.isfinite(score) else "diverged"
     return GridCell(sparsity, n_samples, seed, score, status)
@@ -407,7 +402,7 @@ def _eval_trace(spec, task, model, cfg, seed):
     levels = spec.sparsity_levels
     samples = spec.sample_levels
     inverse = spec.mode == "ird_inverse"
-    run_cfg = replace(cfg, metric=_task_metric(task, cfg), seed=_derive_seed(seed, 99))
+    run_cfg = replace(cfg, seed=_derive_seed(seed, 99))
     out_cells = [_eval_cell(spec, task, model, run_cfg, seed, 0, 0)]
     x0 = _draw_ids(len(task.train), samples[0], _derive_seed(seed, 0, 0, 0))
     mask_sizes = [mask_size(s, model.num_params) for s in levels]
@@ -493,9 +488,7 @@ def save_grid(result: GridResult, path, manifest: dict | None = None) -> None:
     payload = {"result": result.to_json()}
     if manifest is not None:
         payload = {"manifest": manifest, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_grid(path) -> GridResult:

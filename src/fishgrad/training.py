@@ -3,9 +3,12 @@
 The full-batch gradient is computed densely and then projected onto the mask,
 so coordinates outside the mask are provably untouched (bit-identical before
 and after any run). Optimizer state is allocated only for masked indices.
-Early stopping fires after ``patience`` epochs without a strictly better
-validation metric, but only once the best metric has cleared the stop
-threshold, so under-trained models keep going.
+The loss is fixed by the model head (negative log-likelihood for
+classifiers, mean squared error for regressors). ``TrainConfig.metric`` is
+the one validation metric: it is read after every epoch, early stopping
+fires after ``patience`` epochs without a strictly better reading (but only
+once the best reading has cleared the stop threshold, so under-trained
+models keep going), and the last reading is the run's score.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from .fisher import Mask
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the epoch/batch where it happened."""
+    """The loss or the updated parameters became non-finite; carries the
+    epoch/batch where it was seen and the offending value."""
 
-    def __init__(self, epoch: int, batch: int, value: float):
+    def __init__(self, epoch: int, batch: int, value: float, what: str = "loss"):
         self.epoch = epoch
         self.batch = batch
         self.value = value
-        super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
+        super().__init__(f"non-finite {what} {value} at epoch {epoch}, batch {batch}")
 
 
 @dataclass
@@ -39,8 +43,7 @@ class TrainConfig:
     patience: int = 10
     stop_threshold: float = 0.3
     seed: int = 0
-    loss: str = "auto"               # nll | mse | auto (matches the model head)
-    metric: str = "auto"
+    metric: str = "auto"             # a metrics.METRICS name, or the task default
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
 
@@ -57,8 +60,8 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("auto", "nll", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.metric != "auto" and self.metric not in met.METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 @dataclass
@@ -148,26 +151,19 @@ def _check_mask(model, mask: Mask | None) -> np.ndarray | None:
     return mask.selected
 
 
-def _check_loss(model, loss: str) -> None:
-    if loss == "auto":
-        return
-    if loss == "nll" and not model.is_classifier:
-        raise ValueError("nll loss needs a classifier")
-    if loss == "mse" and model.is_classifier:
-        raise ValueError("mse loss needs a scalar-output model")
-
-
 def train_masked(model, mask: Mask | None, train_ds, valid_ds,
                  cfg: TrainConfig) -> TrainReport:
     """Fine-tune ``model`` in place, updating only mask-selected indices.
 
     ``mask=None`` trains densely. Batches are drawn in seeded shuffled order;
     two runs with identical model, data and config produce identical loss
-    curves and final parameters.
+    curves and final parameters. The metric is checked against the model head
+    and the validation labels before the first step. A non-finite loss, or
+    non-finite updated coordinates after an epoch's last step, raise
+    ``TrainingDiverged``.
     """
     selected = _check_mask(model, mask)
-    _check_loss(model, cfg.loss)
-    metric = met.resolve_metric(cfg.metric, valid_ds.task)
+    metric = met.check_metric(cfg.metric, model, valid_ds)
     rng = np.random.default_rng(cfg.seed)
     n_train = len(train_ds)
     state = AdamState.for_size(len(selected) if selected is not None else model.num_params)
@@ -189,6 +185,11 @@ def train_masked(model, mask: Mask | None, train_ds, valid_ds,
                 adam_step(model.params.data, grad, state, cfg.learning_rate,
                           cfg.betas, cfg.eps, selected=selected)
             batch_losses.append(value)
+        # Every earlier step is caught by the next step's loss check.
+        updated = model.params.data if selected is None else model.params.data[selected]
+        if not np.isfinite(updated).all():
+            bad = updated[~np.isfinite(updated)][0]
+            raise TrainingDiverged(epoch + 1, len(batch_losses), bad, "parameters")
         train_losses.append(float(np.mean(batch_losses)))
         val_metrics.append(met.score(metric, model, valid_ds))
         if early_stop_check(val_metrics, cfg.patience, cfg.stop_threshold):

@@ -112,6 +112,48 @@ class TestExitCodes:
         assert payload["error"] == "ValueError"
         assert "sparsity" in payload["message"]
 
+    @pytest.mark.parametrize("config", [
+        '{"loss": "nll"}',            # the loss is fixed by the model head
+        '{"metric": "acuracy"}',      # not a metric
+        '{"metric": "pearson"}',      # a regression metric on a classifier
+    ], ids=["loss-key", "unknown-metric", "metric-head-mismatch"])
+    def test_bad_train_config_is_two(self, workspace, capsys, config):
+        w = workspace
+        cli.main(["gen-data", "--n", "40", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        code, _, err = run(capsys, "train", "--data", str(w / "d.jsonl"),
+                           "--config", config, "--out", str(w / "r.json"))
+        assert code == 2
+        assert json.loads(err)["error"] == "ValueError"
+        assert not (w / "r.json").exists()
+
+    def test_constant_regression_labels_are_two(self, workspace, capsys):
+        """A correlation metric is undefined on constant validation labels;
+        the grid stops before any fine-tune step."""
+        path = workspace / "flat.jsonl"
+        rows = [{"features": [float(i), float(i % 3)], "label": 1.5} for i in range(20)]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, _, err = run(capsys, "grid", "--data", str(path),
+                           "--sparsity-levels", "0.5", "--sample-levels", "4",
+                           "--out", str(workspace / "g.json"))
+        assert code == 2
+        assert "constant labels" in json.loads(err)["message"]
+
+    def test_grid_metric_comes_from_config(self, workspace, capsys):
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        argv = ["grid", "--data", str(w / "d.jsonl"), "--sparsity-levels", "0.3",
+                "--sample-levels", "4", "--out", str(w / "g.json")]
+        code, _, _ = run(capsys, *argv, "--config", '{"metric": "mcc", "max_epochs": 2}')
+        assert code == 0
+        manifest = json.loads((w / "g.json").read_text())["manifest"]
+        assert manifest["config"]["train"]["metric"] == "mcc"
+        assert "metric" not in manifest["config"]
+        code, _, err = run(capsys, *argv, "--metric", "mcc")
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "train", "--data", "missing.jsonl",
                            "--out", "r.json")

@@ -1,5 +1,6 @@
 """Loaders, featurization, splits and synthetic generators."""
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,27 @@ class TestLoadTsv:
             again = dio.load(path, fmt)
             np.testing.assert_array_equal(again.inputs, original.inputs)
             np.testing.assert_array_equal(again.labels, original.labels)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        """An unknown format or a failed write leaves the old file byte for
+        byte, and no temporary file behind."""
+        rng = np.random.default_rng(1)
+        ds = dio.Dataset(rng.normal(size=(5, 3)), rng.integers(0, 2, size=5), "binary", 2)
+        path = tmp_path / "data.jsonl"
+        dio.save(ds, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="unknown format"):
+            dio.save(ds, path, format="csv")
+        assert path.read_bytes() == before
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            dio.save(ds, path, format="tsv")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.jsonl"]
 
 
 class TestLoadJsonl:

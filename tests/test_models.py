@@ -1,6 +1,7 @@
 """Model zoo: parameter layout, likelihood surfaces, checkpoints."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestCheckpoint:
         assert loaded.spec == model.spec
         np.testing.assert_array_equal(loaded.params.data, model.params.data)
         assert loaded.content_hash() == model.content_hash()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        mz.save_checkpoint(mz.build(mz.ModelSpec("logreg", input_dim=3, num_classes=2,
+                                                 seed=0)), path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            mz.save_checkpoint(mz.build(mz.ModelSpec("logreg", input_dim=3, num_classes=2,
+                                                     seed=1)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_tampered_payload_detected(self, tmp_path):
         model = mz.build(mz.ModelSpec("logreg", input_dim=3, num_classes=2, seed=0))

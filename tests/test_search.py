@@ -7,6 +7,7 @@ import pytest
 
 from fishgrad import data as dio
 from fishgrad import fisher as fi
+from fishgrad import metrics as met
 from fishgrad import models as mz
 from fishgrad import search as sr
 from fishgrad import training as tr
@@ -259,6 +260,54 @@ class TestRunGrid:
         assert len(result.cells) == 3  # the grid completed
         assert all(c.status == "diverged" for c in result.cells)
         assert all(math.isnan(c.score) for c in result.cells)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_on_last_step_recorded_as_diverged(self):
+        """A step that overflows every parameter but is its epoch's last is
+        never seen by a loss check; the cell must not be reported ok."""
+        ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=200, dims=6,
+                                            classes=2, noise=1.0, seed=0))
+        ds = dio.Dataset(ds.inputs * 100, ds.labels, ds.task, ds.num_classes)
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        cfg = sr.IRDConfig(train=tr.TrainConfig(optimizer="sgd", learning_rate=1e308,
+                                                batch_size=512, max_epochs=1))
+        spec = sr.GridSpec((0.6,), (8,), "fish_random", (0,))
+        result = sr.run_grid(spec, sr.Task(train, valid),
+                             mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=1), cfg)
+        assert [c.status for c in result.cells] == ["diverged"]
+        assert math.isnan(result.cells[0].score)
+
+    @pytest.mark.parametrize("mode", ["fish_random", "ird"])
+    def test_cells_scored_on_the_early_stopping_metric(self, mode, monkeypatch):
+        """Every metric reading uses TrainConfig.metric, and each cell's score
+        is its fine-tune's last validation reading: no inference after
+        training."""
+        ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=120, dims=6,
+                                            classes=2, noise=1.5, seed=4))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        metrics_used, last_readings, epochs = [], [], []
+        real_score, real_train = met.score, tr.train_masked
+
+        def score_spy(metric, model, dataset):
+            metrics_used.append(metric)
+            return real_score(metric, model, dataset)
+
+        def train_spy(*args, **kwargs):
+            report = real_train(*args, **kwargs)
+            last_readings.append(report.val_metrics[-1])
+            epochs.append(report.epochs_run)
+            return report
+
+        monkeypatch.setattr(met, "score", score_spy)
+        monkeypatch.setattr(tr, "train_masked", train_spy)
+        cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3,
+                                                metric="mcc"))
+        spec = sr.GridSpec((0.4, 0.2), (16, 4), mode, (0,))
+        result = sr.run_grid(spec, sr.Task(train, valid),
+                             mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=0), cfg)
+        assert set(metrics_used) == {"mcc"}
+        assert len(metrics_used) == sum(epochs)
+        assert [c.score for c in result.cells] == last_readings
 
     def test_thread_pool_matches_serial(self, blob_splits):
         train, valid = blob_splits

@@ -157,11 +157,38 @@ class TestTrainMasked:
         with pytest.raises(tr.TrainingDiverged, match="non-finite loss"):
             tr.train_masked(model, None, train, valid, cfg)
 
-    def test_loss_head_compatibility_checked(self):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_parameters_after_last_step_abort(self):
+        """One SGD step that overflows every coordinate is the epoch's last:
+        no later loss sees it, so the parameters themselves are checked."""
+        ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=200, dims=6,
+                                            classes=2, noise=1.0, seed=0))
+        ds = dio.Dataset(ds.inputs * 100, ds.labels, ds.task, ds.num_classes)
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        model = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=1))
+        cfg = tr.TrainConfig(optimizer="sgd", learning_rate=1e308, batch_size=512,
+                             max_epochs=1)
+        with pytest.raises(tr.TrainingDiverged, match="non-finite parameters") as info:
+            tr.train_masked(model, None, train, valid, cfg)
+        assert (info.value.epoch, info.value.batch) == (1, 1)
+
+    def test_metric_checked_before_first_step(self, monkeypatch):
+        """A metric the head or the validation labels cannot take fails
+        before any training step."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(tr.ad, "loss_gradient", no_step)
         train, valid = blob_task(seed=0)
         model = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=0))
-        with pytest.raises(ValueError, match="scalar-output"):
-            tr.train_masked(model, None, train, valid, tr.TrainConfig(loss="mse"))
+        with pytest.raises(ValueError, match="incompatible"):
+            tr.train_masked(model, None, train, valid, tr.TrainConfig(metric="pearson"))
+        ds = dio.generate(dio.SyntheticSpec("linear_regression", n=40, dims=3, seed=0))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        flat = dio.Dataset(valid.inputs, np.full(len(valid), 1.5), "regression")
+        reg = mz.build(mz.ModelSpec("linear_regressor", input_dim=3, num_classes=0, seed=1))
+        with pytest.raises(ValueError, match="constant labels"):
+            tr.train_masked(reg, None, train, flat, tr.TrainConfig())
 
     def test_report_shape(self):
         train, valid = blob_task(seed=2)
@@ -190,7 +217,7 @@ class TestConfigValidation:
         dict(batch_size=0),
         dict(patience=0),
         dict(optimizer="adagrad"),
-        dict(loss="hinge"),
+        dict(metric="acuracy"),
         dict(learning_rate=float("inf")),
         dict(learning_rate=float("nan")),
         dict(eps=-1.0),
