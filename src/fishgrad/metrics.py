@@ -31,7 +31,7 @@ def _binary(preds, labels):
     p, l = _paired(preds, labels)
     values = set(np.unique(p)) | set(np.unique(l))
     if not values <= {0, 1}:
-        raise ValueError(f"binary metric got labels {sorted(values)}")
+        raise ValueError(f"binary metric got labels {sorted(int(v) for v in values)}")
     return p.astype(np.int64), l.astype(np.int64)
 
 
@@ -72,6 +72,11 @@ def combined_score(preds, labels) -> float:
     return (f1(preds, labels) + accuracy(preds, labels)) / 2.0
 
 
+class UndefinedMetric(ValueError):
+    """The metric has no value on these predictions, such as a correlation
+    with constant predictions."""
+
+
 def _check_correlation_input(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -80,7 +85,7 @@ def _check_correlation_input(x, y):
     if len(x) < 2:
         raise ValueError("correlation needs at least 2 points")
     if np.ptp(x) == 0 or np.ptp(y) == 0:
-        raise ValueError("correlation undefined for a constant vector")
+        raise UndefinedMetric("correlation undefined for a constant vector")
     return x, y
 
 
@@ -127,6 +132,7 @@ _FUNCS = {
 }
 
 _REGRESSION_METRICS = {"pearson", "spearman", "pearson_spearman_mean"}
+_BINARY_METRICS = {"mcc", "f1", "combined"}
 
 
 def default_metric(task: str) -> str:
@@ -137,7 +143,9 @@ def check_metric(metric: str, model, dataset) -> str:
     """The metric's name, with ``"auto"`` resolved for ``dataset``'s task.
 
     Raises ValueError for an unknown metric, one that does not fit the
-    model's head, or a correlation metric on constant labels.
+    model's head (a regression metric on a classifier or the reverse, or a
+    binary metric on more than two classes), or a correlation metric on
+    constant labels.
     """
     if metric == "auto":
         metric = default_metric(dataset.task)
@@ -147,6 +155,9 @@ def check_metric(metric: str, model, dataset) -> str:
     if regression_metric == model.is_classifier:
         raise ValueError(f"metric {metric!r} incompatible with "
                          f"{'classifier' if model.is_classifier else 'regressor'} head")
+    if metric in _BINARY_METRICS and model.num_classes > 2:
+        raise ValueError(f"metric {metric!r} needs a binary head, "
+                         f"the model has {model.num_classes} classes")
     if regression_metric and np.ptp(dataset.labels) == 0:
         raise ValueError(f"metric {metric!r} is undefined on constant labels")
     return metric

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,10 +45,12 @@ class ParamVector:
 
     Segments partition [0, len) with no gaps or overlaps; the flat-index to
     (segment, position) mapping is a stable bijection for the life of the
-    model.
+    model. ``data`` is storage to use in place of fresh zeros, such as a view
+    of another vector's tail.
     """
 
-    def __init__(self, layout: list[tuple[str, tuple[int, ...]]]):
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]],
+                 data: np.ndarray | None = None):
         self.segments: list[Segment] = []
         offset = 0
         seen = set()
@@ -59,7 +61,9 @@ class ParamVector:
             seg = Segment(name, offset, shape)
             self.segments.append(seg)
             offset += seg.length
-        self.data = np.zeros(offset, dtype=np.float64)
+        if data is not None and data.shape != (offset,):
+            raise ValueError(f"layout needs {offset} values, storage has {data.shape}")
+        self.data = np.zeros(offset, dtype=np.float64) if data is None else data
         self._by_name = {s.name: s for s in self.segments}
 
     def __len__(self) -> int:
@@ -289,6 +293,34 @@ class MLP(Model):
     def dense_layers(self):
         return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
 
+    def layer_input(self, X, k: int) -> np.ndarray:
+        """The input of dense layer ``k`` for each row of ``X``: layers
+        0..k-1 run untaped, with the arithmetic of ``DensePass``."""
+        a = self._check_inputs(X)
+        for i in range(k):
+            a = _dense_layer(a, self.params.view(f"W{i}"), self.params.view(f"b{i}"),
+                             self.spec.activation)
+        return a
+
+    def head(self, k: int) -> "MLP":
+        """Layers k.. (k >= 1) as an MLP over layer k-1's activations.
+
+        The head's parameters are a view of this model's, so a step on the
+        head updates this model. Its inputs are activations, not data, and
+        are not checked: a non-finite one flows on as in the full model.
+        """
+        spec = replace(self.spec, input_dim=self.spec.hidden[k - 1],
+                       hidden=self.spec.hidden[k:])
+        offset = self.params.segment(f"W{k}").offset
+        return _Head(spec, ParamVector(MLP.layout(spec)[0], self.params.data[offset:]))
+
+
+class _Head(MLP):
+    """An MLP over another MLP's hidden activations (see ``MLP.head``)."""
+
+    def _check_inputs(self, X) -> np.ndarray:
+        return X
+
 
 class TinyAttention(Model):
     """One attention block over token ids, mean-pooled into a linear head.
@@ -414,6 +446,19 @@ class LinearRegressor(Model):
         return float(self.log_prob_mean(tape, np.asarray(x)[None, :], [float(y)]).data)
 
 
+def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
+                 activation: str | None) -> np.ndarray:
+    """a W + b, then ``activation`` ("tanh", "relu", or None for an output
+    layer) in place: the tape's forward rules, recorded on no tape."""
+    z = a @ W
+    z += b
+    if activation == "tanh":
+        return np.tanh(z, out=z)
+    if activation == "relu":
+        return np.maximum(z, 0.0, out=z)
+    return z
+
+
 class DenseFactor(NamedTuple):
     """Per-example gradient factors of one dense layer over a batch.
 
@@ -447,13 +492,11 @@ class DensePass:
         for i, (w, b) in enumerate(names):
             W = model.params.view(w)
             W = W.reshape(W.shape[0], -1)  # the regressor's (d,) weight is one output column
-            z = a @ W
-            z += model.params.view(b)
             self._weights.append(W)
             self._inputs.append(a)
-            if i < len(names) - 1:
-                a = np.tanh(z, out=z) if self._tanh else np.maximum(z, 0.0, out=z)
-        self.output = z
+            a = _dense_layer(a, W, model.params.view(b),
+                             model.spec.activation if i < len(names) - 1 else None)
+        self.output = a
 
     @cached_property
     def log_probs(self) -> np.ndarray:

@@ -31,6 +31,7 @@ from . import training as tr
 from .fileio import write_atomic
 from .fisher import (Mask, SampleSubset, empirical_fisher, mask_size,
                      sample_scores, top_k_mask, top_k_within)
+from .metrics import UndefinedMetric
 
 PHASE_SAMPLES = "after_sample_halving"
 PHASE_PARAMS = "after_param_halving"
@@ -61,6 +62,7 @@ class TraceRecord:
     score: float
     mask: Mask
     subset: SampleSubset
+    status: str = "ok"  # as GridCell.status; the JSON's null score covers both failures
 
     def to_json(self) -> dict:
         return {"iteration": self.iteration, "phase": self.phase,
@@ -116,16 +118,22 @@ def _score_from_json(value) -> float:
 
 
 def _score_config(initial_model, mask: Mask, train_ds, valid_ds, subset_ids,
-                  cfg: IRDConfig, train_seed: int) -> float:
+                  cfg: IRDConfig, train_seed: int) -> tuple[float, str]:
     """Fine-tune a fresh copy of the initial model under ``mask`` and return
-    its last validation reading; NaN on divergence so a search can continue."""
+    its last validation reading and a status: ``ok``, or NaN with
+    ``diverged`` (the fine-tune diverged or read a non-finite score) or
+    ``undefined`` (the metric has no value on its predictions), so a search
+    can continue."""
     candidate = initial_model.clone()
     fit_ds = train_ds.subset(subset_ids) if cfg.train_on_subset else train_ds
     run_cfg = replace(cfg.train, seed=train_seed)
     try:
-        return tr.train_masked(candidate, mask, fit_ds, valid_ds, run_cfg).val_metrics[-1]
+        score = tr.train_masked(candidate, mask, fit_ds, valid_ds, run_cfg).val_metrics[-1]
     except tr.TrainingDiverged:
-        return float("nan")
+        return float("nan"), "diverged"
+    except UndefinedMetric:
+        return float("nan"), "undefined"
+    return score, "ok" if math.isfinite(score) else "diverged"
 
 
 def _keep_samples(scores: list, keep: int, largest: bool) -> np.ndarray:
@@ -182,18 +190,18 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
         by_id = {s.sample_id: s.score for s in scores}
         subset = SampleSubset(kept_ids, np.asarray([by_id[i] for i in kept_ids]))
 
-        s1 = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
-                           _derive_seed(cfg.seed, iteration, 0))
-        records.append(TraceRecord(iteration, PHASE_SAMPLES, s1, mask, subset))
+        s1, status = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
+                                   _derive_seed(cfg.seed, iteration, 0))
+        records.append(TraceRecord(iteration, PHASE_SAMPLES, s1, mask, subset, status))
 
         fisher_l = empirical_fisher(model, train_ds, subset.ids)
         new_sel = top_k_within(fisher_l.values, mask.selected, keep_k,
                                keep_largest=not inverse)
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
-        s2 = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
-                           _derive_seed(cfg.seed, iteration, 1))
-        records.append(TraceRecord(iteration, PHASE_PARAMS, s2, mask, subset))
+        s2, status = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
+                                   _derive_seed(cfg.seed, iteration, 1))
+        records.append(TraceRecord(iteration, PHASE_PARAMS, s2, mask, subset, status))
         iteration += 1
     return IRDTrace(records, initial_mask, initial_subset)
 
@@ -266,7 +274,7 @@ class GridCell:
     n_samples: int
     seed: int
     score: float
-    status: str = "ok"  # ok | diverged
+    status: str = "ok"  # ok | diverged | undefined
 
     def to_json(self) -> dict:
         return {"sparsity": self.sparsity, "n_samples": self.n_samples,
@@ -391,9 +399,8 @@ def _eval_cell(spec, task, model, cfg, seed, ri, ci) -> GridCell:
     ids = _draw_ids(len(task.train), n_samples, _derive_seed(seed, ri, ci, 0))
     fisher = empirical_fisher(model, task.train, ids)
     mask = top_k_mask(fisher, sparsity=sparsity)
-    score = _score_config(model, mask, task.train, task.valid, ids, cfg,
-                          _derive_seed(seed, ri, ci, 1))
-    status = "ok" if math.isfinite(score) else "diverged"
+    score, status = _score_config(model, mask, task.train, task.valid, ids, cfg,
+                                  _derive_seed(seed, ri, ci, 1))
     return GridCell(sparsity, n_samples, seed, score, status)
 
 
@@ -423,8 +430,7 @@ def _eval_trace(spec, task, model, cfg, seed):
         step = rec.iteration
         ri = step if rec.phase == PHASE_SAMPLES else step + 1
         ci = step + 1
-        status = "ok" if math.isfinite(rec.score) else "diverged"
-        out_cells.append(GridCell(levels[ri], samples[ci], seed, rec.score, status))
+        out_cells.append(GridCell(levels[ri], samples[ci], seed, rec.score, rec.status))
     return out_cells, {"seed": seed, **trace.to_json()}
 
 

@@ -1,8 +1,10 @@
 """Masked fine-tuning: optimizer updates restricted to selected indices.
 
-The full-batch gradient is computed densely and then projected onto the mask,
-so coordinates outside the mask are provably untouched (bit-identical before
-and after any run). Optimizer state is allocated only for masked indices.
+Each batch gradient is projected onto the mask, so coordinates outside the
+mask are provably untouched (bit-identical before and after any run).
+Optimizer state is allocated only for masked indices. Dense layers below
+the first one the mask reaches are frozen, so they run ahead of training
+and only the layers above them run forward and backward at each step.
 The loss is fixed by the model head (negative log-likelihood for
 classifiers, mean squared error for regressors). ``TrainConfig.metric`` is
 the one validation metric: it is read after every epoch, early stopping
@@ -14,7 +16,7 @@ models keep going), and the last reading is the run's score.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,6 +153,54 @@ def _check_mask(model, mask: Mask | None) -> np.ndarray | None:
     return mask.selected
 
 
+def _first_trained_layer(model, selected: np.ndarray | None) -> int:
+    """Index of the first dense layer holding a selected coordinate; 0 for
+    dense training, an empty mask, or a model without dense layers."""
+    if selected is None or len(selected) == 0:
+        return 0
+    starts = [model.params.segment(w).offset for w, _ in model.dense_layers()]
+    return max(int(np.searchsorted(starts, selected[0], side="right")) - 1, 0)
+
+
+class _FrozenInputs:
+    """The input of dense layer ``k`` for a batch of training rows, in a
+    fine-tune that leaves layers 0..k-1 frozen.
+
+    The frozen layers run once over every training row, in chunks of a full
+    batch's size (the last chunk ends at the last row), and a full batch
+    reads its rows from those chunks. A row of a matrix product can differ
+    in its last bits with the product's shape (numpy multiplies one row with
+    gemv; OpenBLAS picks kernels by size, and runs larger products on its
+    thread pool) and, with some kernels, with the row's position in it.
+    Chunks take a batch's shape; a shorter batch runs the frozen layers
+    itself, and so does the first full batch, whose rows are compared with
+    the chunks byte for byte. On a mismatch, every later batch runs them
+    itself too. The check is a sample: it relies on the kernel treating
+    every full batch of a fine-tune as it treats the first.
+    """
+
+    def __init__(self, model, k: int, inputs: np.ndarray, batch_size: int):
+        self.model, self.k, self.inputs = model, k, inputs
+        n = len(inputs)
+        self.full = m = min(batch_size, n)
+        self.cache = np.empty((n, model.spec.hidden[k - 1]))
+        for start in range(0, n, batch_size):
+            s = min(start, n - m)
+            self.cache[s:s + m] = model.layer_input(inputs[s:s + m], k)
+        self.checked = False
+
+    def __call__(self, ids: np.ndarray) -> np.ndarray:
+        full = self.cache is not None and len(ids) == self.full
+        if full and self.checked:
+            return self.cache[ids]
+        rows = self.model.layer_input(self.inputs[ids], self.k)
+        if full:
+            self.checked = True
+            if rows.tobytes() != self.cache[ids].tobytes():
+                self.cache = None
+        return rows
+
+
 def train_masked(model, mask: Mask | None, train_ds, valid_ds,
                  cfg: TrainConfig) -> TrainReport:
     """Fine-tune ``model`` in place, updating only mask-selected indices.
@@ -161,11 +211,24 @@ def train_masked(model, mask: Mask | None, train_ds, valid_ds,
     and the validation labels before the first step. A non-finite loss, or
     non-finite updated coordinates after an epoch's last step, raise
     ``TrainingDiverged``.
+
+    When the lowest selected coordinate sits in dense layer k > 0, layers
+    0..k-1 are frozen: they run once over the validation split and once over
+    the training split (see ``_FrozenInputs``), and the steps and validation
+    readings run on ``model.head(k)``, which shares the model's storage.
+    Losses, readings and parameters equal the full model's byte for byte.
     """
     selected = _check_mask(model, mask)
     metric = met.check_metric(cfg.metric, model, valid_ds)
     rng = np.random.default_rng(cfg.seed)
     n_train = len(train_ds)
+    k = _first_trained_layer(model, selected)
+    net, batch_inputs = model, train_ds.inputs.__getitem__
+    if k:
+        net = model.head(k)
+        batch_inputs = _FrozenInputs(model, k, train_ds.inputs, cfg.batch_size)
+        selected = selected - model.params.segment(model.dense_layers()[k][0]).offset
+        valid_ds = replace(valid_ds, inputs=model.layer_input(valid_ds.inputs, k))
     state = AdamState.for_size(len(selected) if selected is not None else model.num_params)
     train_losses: list[float] = []
     val_metrics: list[float] = []
@@ -175,23 +238,22 @@ def train_masked(model, mask: Mask | None, train_ds, valid_ds,
         batch_losses = []
         for bi, start in enumerate(range(0, n_train, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
-            value, grad = ad.loss_gradient(model, train_ds.inputs[idx],
-                                           train_ds.labels[idx])
+            value, grad = ad.loss_gradient(net, batch_inputs(idx), train_ds.labels[idx])
             if not np.isfinite(value):
                 raise TrainingDiverged(epoch + 1, bi + 1, value)
             if cfg.optimizer == "sgd":
-                sgd_step(model.params.data, grad, cfg.learning_rate, selected)
+                sgd_step(net.params.data, grad, cfg.learning_rate, selected)
             else:
-                adam_step(model.params.data, grad, state, cfg.learning_rate,
+                adam_step(net.params.data, grad, state, cfg.learning_rate,
                           cfg.betas, cfg.eps, selected=selected)
             batch_losses.append(value)
         # Every earlier step is caught by the next step's loss check.
-        updated = model.params.data if selected is None else model.params.data[selected]
+        updated = net.params.data if selected is None else net.params.data[selected]
         if not np.isfinite(updated).all():
             bad = updated[~np.isfinite(updated)][0]
             raise TrainingDiverged(epoch + 1, len(batch_losses), bad, "parameters")
         train_losses.append(float(np.mean(batch_losses)))
-        val_metrics.append(met.score(metric, model, valid_ds))
+        val_metrics.append(met.score(metric, net, valid_ds))
         if early_stop_check(val_metrics, cfg.patience, cfg.stop_threshold):
             stopped_early = True
             break

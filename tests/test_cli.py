@@ -139,6 +139,17 @@ class TestExitCodes:
         assert code == 2
         assert "constant labels" in json.loads(err)["message"]
 
+    def test_binary_metric_on_multiclass_grid_is_two(self, workspace, capsys):
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--classes", "3", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        code, _, err = run(capsys, "grid", "--data", str(w / "d.jsonl"),
+                           "--sparsity-levels", "0.3", "--sample-levels", "4",
+                           "--config", '{"metric": "mcc"}', "--out", str(w / "g.json"))
+        assert code == 2
+        assert "needs a binary head" in json.loads(err)["message"]
+        assert not (w / "g.json").exists()
+
     def test_grid_metric_comes_from_config(self, workspace, capsys):
         w = workspace
         cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "0",

@@ -278,6 +278,31 @@ class TestRunGrid:
         assert math.isnan(result.cells[0].score)
 
     @pytest.mark.parametrize("mode", ["fish_random", "ird"])
+    def test_undefined_scores_recorded_per_cell(self, mode):
+        """Validation inputs that are one row repeated give constant
+        predictions, on which a correlation is undefined: every cell is
+        recorded ``undefined`` with a null score and the grid completes."""
+        ds = dio.generate(dio.SyntheticSpec("linear_regression", n=80, dims=4,
+                                            noise=0.1, seed=0))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        valid = dio.Dataset(np.repeat(valid.inputs[:1], len(valid), axis=0),
+                            valid.labels, "regression")
+        spec = sr.GridSpec((0.6, 0.3), (16, 4), mode, (0,))
+        result = sr.run_grid(spec, sr.Task(train, valid),
+                             mz.ModelSpec("linear_regressor", input_dim=4,
+                                          num_classes=0, seed=1), quick_cfg())
+        assert len(result.cells) == 3
+        assert [c.status for c in result.cells] == ["undefined"] * 3
+        assert [c.to_json()["score"] for c in result.cells] == [None] * 3
+
+    def test_only_undefined_metrics_are_caught(self):
+        with pytest.raises(met.UndefinedMetric):
+            met.pearson([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError) as info:
+            met.pearson([1.0], [2.0])
+        assert not isinstance(info.value, met.UndefinedMetric)
+
+    @pytest.mark.parametrize("mode", ["fish_random", "ird"])
     def test_cells_scored_on_the_early_stopping_metric(self, mode, monkeypatch):
         """Every metric reading uses TrainConfig.metric, and each cell's score
         is its fine-tune's last validation reading: no inference after

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from fishgrad import autodiff as ad
 from fishgrad import data as dio
 from fishgrad import fisher as fi
+from fishgrad import metrics as met
 from fishgrad import models as mz
+from fishgrad import search as sr
 from fishgrad import training as tr
 
 
@@ -183,6 +186,11 @@ class TestTrainMasked:
         model = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=0))
         with pytest.raises(ValueError, match="incompatible"):
             tr.train_masked(model, None, train, valid, tr.TrainConfig(metric="pearson"))
+        train3, valid3 = blob_task(seed=0, classes=3)
+        model3 = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0))
+        for metric in ("mcc", "f1", "combined"):
+            with pytest.raises(ValueError, match="needs a binary head"):
+                tr.train_masked(model3, None, train3, valid3, tr.TrainConfig(metric=metric))
         ds = dio.generate(dio.SyntheticSpec("linear_regression", n=40, dims=3, seed=0))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         flat = dio.Dataset(valid.inputs, np.full(len(valid), 1.5), "regression")
@@ -229,3 +237,216 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             tr.TrainConfig(**kwargs)
+
+
+def reference_fine_tune(model, selected, train, valid, cfg):
+    """The full-model loop: every step runs ``ad.loss_gradient`` on the whole
+    model and every epoch scores the whole model with ``metrics.score``."""
+    metric = met.check_metric(cfg.metric, model, valid)
+    rng = np.random.default_rng(cfg.seed)
+    state = tr.AdamState.for_size(model.num_params if selected is None else len(selected))
+    losses, readings = [], []
+    for epoch in range(cfg.max_epochs):
+        perm = rng.permutation(len(train))
+        batch_losses = []
+        for bi, start in enumerate(range(0, len(train), cfg.batch_size)):
+            idx = perm[start:start + cfg.batch_size]
+            value, grad = ad.loss_gradient(model, train.inputs[idx], train.labels[idx])
+            if not np.isfinite(value):
+                raise tr.TrainingDiverged(epoch + 1, bi + 1, value)
+            if cfg.optimizer == "sgd":
+                tr.sgd_step(model.params.data, grad, cfg.learning_rate, selected)
+            else:
+                tr.adam_step(model.params.data, grad, state, cfg.learning_rate,
+                             cfg.betas, cfg.eps, selected=selected)
+            batch_losses.append(value)
+        losses.append(float(np.mean(batch_losses)))
+        readings.append(met.score(metric, model, valid))
+        if tr.early_stop_check(readings, cfg.patience, cfg.stop_threshold):
+            break
+    return losses, readings
+
+
+def layer_mask(model, where):
+    """Selected indices for a mask that reaches the named dense layers."""
+    last = len(model.dense_layers()) - 1
+    seg = model.params.segment
+    if where == "dense":
+        return None
+    if where == "output":
+        sel = np.arange(seg(f"W{last}").offset, model.num_params, 2)
+    elif where == "middle":
+        sel = np.arange(seg("W1").offset, seg("W2").offset, 3)
+    elif where == "spanning":  # the last hidden layer's bias and the output layer
+        sel = np.arange(seg(f"b{last - 1}").offset, model.num_params, 2)
+    else:  # "layer0": one coordinate of W0 plus the output layer
+        sel = np.concatenate([[1], np.arange(seg(f"W{last}").offset, model.num_params, 2)])
+    return fi.Mask(sel, len(sel) / model.num_params, model.num_params, model.content_hash())
+
+
+FROZEN_CASES = [(hidden, activation, where)
+                for hidden in [(8,), (6, 5)]
+                for activation in ["tanh", "relu"]
+                for where in ["output", "middle", "spanning", "layer0", "dense"]
+                if where != "middle" or len(hidden) == 2]
+
+
+class TestFrozenLayers:
+    """Layers below the first one a mask reaches run ahead of training; the
+    fine-tune must equal the full-model loop byte for byte."""
+
+    def assert_matches_reference(self, monkeypatch, spec, where, train, valid, cfg):
+        """Also every step's loss, and its gradient on the trained layers."""
+        steps = []
+        real_loss_gradient = ad.loss_gradient
+
+        def recording(*args):
+            value, grad = real_loss_gradient(*args)
+            steps.append((value, grad))
+            return value, grad
+
+        monkeypatch.setattr(ad, "loss_gradient", recording)
+        model, ref_model = mz.build(spec), mz.build(spec)
+        mask = layer_mask(model, where)
+        report = tr.train_masked(model, mask, train, valid, cfg)
+        head_steps, steps = steps, []
+        losses, readings = reference_fine_tune(
+            ref_model, None if mask is None else mask.selected, train, valid, cfg)
+        assert [v for v, _ in head_steps] == [v for v, _ in steps]
+        for (_, head_grad), (_, grad) in zip(head_steps, steps):
+            assert head_grad.tobytes() == grad[len(grad) - len(head_grad):].tobytes()
+        assert report.train_losses == losses
+        assert report.val_metrics == readings
+        assert model.params.data.tobytes() == ref_model.params.data.tobytes()
+        assert report.final_hash == ref_model.content_hash()
+
+    @pytest.mark.parametrize("batch_size", [32, 7])
+    @pytest.mark.parametrize("hidden,activation,where", FROZEN_CASES)
+    def test_matches_full_model_loop(self, hidden, activation, where, batch_size,
+                                     monkeypatch):
+        """160 training rows: five full batches of 32, or 22 of 7 and a
+        short batch of 6."""
+        train, valid = blob_task(seed=4, classes=3)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=hidden, num_classes=3,
+                            seed=5, activation=activation)
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=batch_size,
+                             seed=6)
+        self.assert_matches_reference(monkeypatch, spec, where, train, valid, cfg)
+
+    @pytest.mark.parametrize("hidden,dims,batch_size", [
+        ((250, 250), 6, 7),    # 7 x 250 @ 250 x 250 products
+        ((300,), 8, 480),      # one batch of every row, 480 x 8 @ 8 x 300
+    ])
+    def test_matches_on_wide_layers(self, hidden, dims, batch_size, monkeypatch):
+        """Shapes whose product rows depend on the batch's size or on a
+        row's position with some BLAS kernels (OpenBLAS on AVX-512 among
+        them)."""
+        train, valid = blob_task(seed=3, n=600, dims=dims)
+        spec = mz.ModelSpec("mlp", input_dim=dims, hidden=hidden, num_classes=2, seed=4)
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=batch_size,
+                             seed=5)
+        self.assert_matches_reference(monkeypatch, spec, "output", train, valid, cfg)
+
+    @pytest.mark.parametrize("n_fit", [1, 16, 33, 64])
+    def test_matches_on_a_training_subset(self, n_fit, monkeypatch):
+        """Subsets as ``train_on_subset`` fits them: one row, no full batch,
+        a one-row short batch (a one-row product takes another BLAS path),
+        and only full batches."""
+        train, valid = blob_task(seed=7)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(12,), num_classes=2, seed=8)
+        cfg = tr.TrainConfig(optimizer="sgd", learning_rate=0.1, max_epochs=4, seed=9)
+        self.assert_matches_reference(monkeypatch, spec, "output", train.subset(np.arange(n_fit)),
+                                      valid, cfg)
+
+    def test_grid_on_training_subsets_matches_full_model_loop(self, monkeypatch):
+        """Every cell and trace of an ird grid that fine-tunes on the
+        surviving subsets equals the grid run on the full-model loop."""
+        ds = dio.generate(dio.SyntheticSpec("xor_ring", n=160, dims=4, noise=0.3, seed=3))
+        task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
+        spec = sr.GridSpec((0.2, 0.1, 0.05), (40, 9, 1), "ird", (0, 1))
+        model_spec = mz.ModelSpec("mlp", input_dim=4, hidden=(16,), num_classes=2, seed=1)
+        cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3),
+                           train_on_subset=True)
+        result = sr.run_grid(spec, task, model_spec, cfg).to_json()
+
+        def reference_train(model, mask, train_ds, valid_ds, run_cfg):
+            losses, readings = reference_fine_tune(model, mask.selected, train_ds,
+                                                   valid_ds, run_cfg)
+            return tr.TrainReport(len(losses), losses, readings, False,
+                                  model.content_hash())
+
+        monkeypatch.setattr(sr.tr, "train_masked", reference_train)
+        assert result == sr.run_grid(spec, task, model_spec, cfg).to_json()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_frozen_layer_overflow_diverges_where_the_full_model_does(self):
+        """A training row that overflows the frozen relu layer to inf gives
+        a non-finite loss at the same epoch and batch, not an input error."""
+        train, valid = blob_task(seed=2)
+        inputs = train.inputs.copy()
+        inputs[100] = 1e308
+        train = dio.Dataset(inputs, train.labels, train.task, train.num_classes)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=3,
+                            activation="relu")
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=1)
+        model, ref_model = mz.build(spec), mz.build(spec)
+        for m in (model, ref_model):
+            m.params.view("W0")[...] = 1.0
+        mask = layer_mask(model, "output")
+        with pytest.raises(tr.TrainingDiverged) as ref:
+            reference_fine_tune(ref_model, mask.selected, train, valid, cfg)
+        with pytest.raises(tr.TrainingDiverged) as info:
+            tr.train_masked(model, mask, train, valid, cfg)
+        assert (info.value.epoch, info.value.batch) == (ref.value.epoch, ref.value.batch)
+        assert ref.value.batch > 1
+        assert model.params.data.tobytes() == ref_model.params.data.tobytes()
+
+    @pytest.mark.parametrize("hidden", [(8,), (6, 5)])
+    def test_frozen_layers_run_once_per_split(self, hidden, monkeypatch):
+        """With an output-only mask, each hidden layer sees the 160 training
+        rows once, the first batch again (checked against the full model's
+        arithmetic) and the 40 validation rows once, however many epochs
+        run; the output layer runs at every step and every validation."""
+        rows_by_layer = []
+        real_layer = mz._dense_layer
+
+        def counting_layer(a, W, b, activation):
+            rows_by_layer.append((W, len(a)))
+            return real_layer(a, W, b, activation)
+
+        monkeypatch.setattr(mz, "_dense_layer", counting_layer)
+        train, valid = blob_task(seed=5)
+        model = mz.build(mz.ModelSpec("mlp", input_dim=6, hidden=hidden, num_classes=2,
+                                      seed=1))
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=4, patience=10, seed=2)
+        report = tr.train_masked(model, layer_mask(model, "output"), train, valid, cfg)
+        assert report.epochs_run == 4
+        rows = [sum(n for W, n in rows_by_layer if np.shares_memory(W, model.params.view(w)))
+                for w, _ in model.dense_layers()]
+        assert rows == [160 + 32 + 40] * len(hidden) + [4 * (160 + 40)]
+
+    @pytest.mark.parametrize("kind", ["logreg", "tiny_attention", "linear_regressor",
+                                      "mlp-layer0", "mlp-dense"])
+    def test_full_model_path_when_layer_zero_trains(self, kind, monkeypatch):
+        """A model with one dense layer, or none, and a mask that reaches
+        layer 0 train the whole model at every step."""
+        def no_head(self, k):
+            raise AssertionError("a frozen-layer head was built")
+
+        monkeypatch.setattr(mz.MLP, "head", no_head)
+        spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == kind.split("-")[0])
+        model = mz.build(spec)
+        if kind.startswith("mlp"):
+            mask = layer_mask(model, kind[4:])
+        else:
+            mask = fi.Mask(np.arange(0, model.num_params, 2), 0.5, model.num_params)
+        if spec.kind == "tiny_attention":
+            ds = dio.generate(dio.SyntheticSpec("token_topic", n=40, vocab=24,
+                                                seq_len=6, seed=0))
+        elif spec.kind == "linear_regressor":
+            ds = dio.generate(dio.SyntheticSpec("linear_regression", n=40, dims=7, seed=0))
+        else:
+            ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=40, dims=spec.input_dim,
+                                                classes=spec.num_classes, seed=0))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        tr.train_masked(model, mask, train, valid, tr.TrainConfig(max_epochs=1))
