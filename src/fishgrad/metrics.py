@@ -171,5 +171,9 @@ def score(metric: str, model, dataset) -> float:
     predictions with the targets.
     """
     metric = check_metric(metric, model, dataset)
-    preds = model.predictions(dataset.inputs)
-    return _FUNCS[metric](preds, dataset.labels)
+    return evaluate(metric, model.predictions(dataset.inputs), dataset.labels)
+
+
+def evaluate(metric: str, preds, labels) -> float:
+    """The named metric (not ``"auto"``) of predictions against labels."""
+    return _FUNCS[metric](preds, labels)

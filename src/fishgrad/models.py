@@ -481,28 +481,35 @@ class DensePass:
     batch gradient of the mean training loss, A^T Delta per layer
     (``loss_gradient``). The arithmetic follows the tape's forward and
     backward rules op for op, so both match the tape byte for byte.
+
+    ``params`` may stack parameter vectors in a (jobs, parameters) block,
+    with ``X`` (jobs, rows, features): every array then gains a leading job
+    axis, as ``training`` uses to run several fine-tunes at once.
     """
 
-    def __init__(self, model: Model, X: np.ndarray):
+    def __init__(self, model: Model, X: np.ndarray, params: np.ndarray | None = None):
         self.model = model
         self._names = names = model.dense_layers()
         self._tanh = model.spec.activation == "tanh"
         self._weights, self._inputs = [], []
+        params = model.params.data if params is None else params
+        lead = params.shape[:-1]
         a = X
         for i, (w, b) in enumerate(names):
-            W = model.params.view(w)
-            W = W.reshape(W.shape[0], -1)  # the regressor's (d,) weight is one output column
+            w, b = model.params.segment(w), model.params.segment(b)
+            # The regressor's (d,) weight is one output column.
+            W = params[..., w.offset:w.offset + w.length].reshape(*lead, w.shape[0], b.length)
+            bias = params[..., b.offset:b.offset + b.length].reshape(*lead, 1, b.length)
             self._weights.append(W)
             self._inputs.append(a)
-            a = _dense_layer(a, W, model.params.view(b),
-                             model.spec.activation if i < len(names) - 1 else None)
+            a = _dense_layer(a, W, bias, model.spec.activation if i < len(names) - 1 else None)
         self.output = a
 
     @cached_property
     def log_probs(self) -> np.ndarray:
         """Log-softmax of a classifier's logits, as the tape computes it."""
-        shifted = self.output - self.output.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        shifted = self.output - self.output.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -523,7 +530,7 @@ class DensePass:
                     np.subtract(1.0, slope, out=slope)
                 else:
                     slope = a > 0.0
-                delta = delta @ self._weights[i].T
+                delta = delta @ np.swapaxes(self._weights[i], -1, -2)
                 delta *= slope
 
     def factors(self, y) -> list[DenseFactor]:
@@ -542,31 +549,32 @@ class DensePass:
     def loss_gradient(self, y) -> tuple[float, np.ndarray]:
         """(mean training loss, its flat gradient): cross-entropy for a
         classifier, squared error for the regressor. Like the tape, it forms
-        no gradient toward the data matrix."""
-        m = len(self.output)
+        no gradient toward the data matrix. Stacked, ``y`` and the loss are
+        per job."""
+        m = self.output.shape[-2]
         if self.model.is_classifier:
             y = self.model._check_labels(y)
-            if len(y) != m:
-                raise ad.ShapeMismatch("nll", f"{m} rows vs {len(y)} targets")
-            rows = np.arange(m)
-            value = -self.log_probs[rows, y].sum() / m
-            gl = np.zeros_like(self.output)
-            gl[rows, y] = -1.0 / m
-            delta = gl - self.probs * gl.sum(axis=1, keepdims=True)
+            if y.shape != self.output.shape[:-1]:
+                raise ad.ShapeMismatch("nll", f"{self.output.shape[:-1]} rows vs {y.shape} targets")
+            at_label = y[..., None] == np.arange(self.output.shape[-1])
+            value = -self.log_probs[at_label].reshape(y.shape).sum(axis=-1) / m
+            gl = np.where(at_label, -1.0 / m, 0.0)
+            delta = gl - self.probs * gl.sum(axis=-1, keepdims=True)
         else:
             y = np.asarray(y, dtype=np.float64)
-            if y.shape != (m,):
-                raise ad.ShapeMismatch("mse", f"pred {(m,)} vs target {y.shape}")
-            diff = self.output[:, 0] - y
-            value = (diff * diff).sum() / m
-            delta = (2.0 * diff * (1.0 / m))[:, None]
+            if y.shape != self.output.shape[:-1]:
+                raise ad.ShapeMismatch("mse", f"pred {self.output.shape[:-1]} vs target {y.shape}")
+            diff = self.output[..., 0] - y
+            value = (diff * diff).sum(axis=-1) / m
+            delta = (2.0 * diff * (1.0 / m))[..., None]
         params = self.model.params
-        grad = np.zeros(len(params), dtype=np.float64)
+        grad = np.zeros(value.shape + (len(params),), dtype=np.float64)
         for i, d in self._backward(delta):
             w, b = (params.segment(name) for name in self._names[i])
-            grad[w.offset:w.offset + w.length] = (self._inputs[i].T @ d).ravel()
-            grad[b.offset:b.offset + b.length] = d.sum(axis=0)
-        return float(value), grad
+            grad[..., w.offset:w.offset + w.length] = (
+                np.swapaxes(self._inputs[i], -1, -2) @ d).reshape(*value.shape, w.length)
+            grad[..., b.offset:b.offset + b.length] = d.sum(axis=-2)
+        return value, grad
 
 
 def gaussian_log_prob(model: Model, x, y) -> float:

@@ -5,13 +5,13 @@ iteration (while both sets still have more than one element) first keeps the
 half of the samples with the largest squared-gradient scores, scores that
 configuration, then keeps the half of the masked parameters with the largest
 diagonal scores recomputed on the surviving samples, and scores again. Every
-score is the last validation reading of a full masked fine-tune of a fresh
-copy of the initial model, so recorded scores are mutually comparable. The
-reading uses ``TrainConfig.metric``, the same metric the fine-tune
-early-stops on; the search itself neither resolves nor computes a metric.
-The inverse variant keeps the below-median halves at both decision points
-instead and is used as a sanity control: it should not beat the forward
-search.
+score is the last validation reading, on ``TrainConfig.metric``, of a masked
+fine-tune of a fresh copy of the initial model, so recorded scores are
+mutually comparable. No score feeds back into the search: a run plans its
+whole trajectory first, then runs the fine-tunes in groups
+(``training.train_group``). The inverse variant keeps the below-median
+halves at both decision points instead and is used as a sanity control: it
+should not beat the forward search.
 
 The grid runner replays the same trajectory onto a (samples x sparsity)
 staircase of cells and can also fill those cells with the random-sample
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import takewhile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,23 +118,26 @@ def _score_from_json(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _score_config(initial_model, mask: Mask, train_ds, valid_ds, subset_ids,
-                  cfg: IRDConfig, train_seed: int) -> tuple[float, str]:
-    """Fine-tune a fresh copy of the initial model under ``mask`` and return
-    its last validation reading and a status: ``ok``, or NaN with
-    ``diverged`` (the fine-tune diverged or read a non-finite score) or
-    ``undefined`` (the metric has no value on its predictions), so a search
-    can continue."""
-    candidate = initial_model.clone()
-    fit_ds = train_ds.subset(subset_ids) if cfg.train_on_subset else train_ds
-    run_cfg = replace(cfg.train, seed=train_seed)
-    try:
-        score = tr.train_masked(candidate, mask, fit_ds, valid_ds, run_cfg).val_metrics[-1]
-    except tr.TrainingDiverged:
-        return float("nan"), "diverged"
-    except UndefinedMetric:
-        return float("nan"), "undefined"
-    return score, "ok" if math.isfinite(score) else "diverged"
+def _fine_tune(initial_model, plan, train_ds, valid_ds, cfg: IRDConfig) -> None:
+    """Fine-tune a fresh copy of the initial model for each planned job,
+    (mask, fit ids or None for all training rows, train seed), jobs on the
+    same rows as one group, and set its target's score and status: ``ok``,
+    or NaN with ``diverged`` (including a non-finite score) or ``undefined``
+    (the metric has no value on its predictions), so a search goes on."""
+    by_rows: dict = {}
+    for job, target in plan:
+        by_rows.setdefault(None if job[1] is None else job[1].tobytes(), []).append((job, target))
+    for group in by_rows.values():
+        fit_ids = group[0][0][1]
+        outcomes = tr.train_group(
+            [initial_model.clone() for _ in group], [mask for (mask, _, _), _ in group],
+            train_ds if fit_ids is None else train_ds.subset(fit_ids), valid_ds,
+            [replace(cfg.train, seed=seed) for (_, _, seed), _ in group])
+        for (_, target), outcome in zip(group, outcomes):
+            target.score = math.nan
+            target.status = "undefined" if isinstance(outcome, UndefinedMetric) else "diverged"
+            if isinstance(outcome, tr.TrainReport) and math.isfinite(outcome.val_metrics[-1]):
+                target.score, target.status = outcome.val_metrics[-1], "ok"
 
 
 def _keep_samples(scores: list, keep: int, largest: bool) -> np.ndarray:
@@ -156,20 +160,31 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     shrink schedule with explicit successive sizes (used by the grid runner
     to hit preset axis levels). Masks always shrink within the previous mask,
     so the recorded masks are strictly nested, as are the sample subsets.
+    No score feeds back into the search, so the trajectory is planned first
+    and a bad schedule raises before any fine-tune runs (``_fine_tune``).
     """
     cfg = cfg or IRDConfig()
+    trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg, inverse,
+                              sample_targets, mask_targets)
+    _fine_tune(model, plan, train_ds, valid_ds, cfg)
+    return trace
+
+
+def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig,
+                inverse: bool, sample_targets, mask_targets):
+    """The search's subsets and masks as a trace with unscored records, and
+    each record's fine-tune job paired with the record."""
     if (sample_targets is None) != (mask_targets is None):
         raise ValueError("provide both shrink schedules or neither")
     x0 = np.asarray(x0, dtype=np.int64)
     if len(x0) < 2:
         raise ValueError(f"need at least 2 initial samples, got {len(x0)}")
-    fisher0 = empirical_fisher(model, train_ds, x0)
-    mask = top_k_mask(fisher0, sparsity=initial_sparsity, k=initial_k)
+    mask = top_k_mask(empirical_fisher(model, train_ds, x0), sparsity=initial_sparsity,
+                      k=initial_k)
     if mask.size < 2:
         raise ValueError(f"initial mask must select at least 2 parameters, got {mask.size}")
     subset = SampleSubset(x0)
-    records: list[TraceRecord] = []
-    initial_mask, initial_subset = mask, subset
+    trace = IRDTrace([], mask, subset)
     sample_targets = list(sample_targets) if sample_targets is not None else None
     mask_targets = list(mask_targets) if mask_targets is not None else None
     iteration = 0
@@ -189,21 +204,18 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
         kept_ids = _keep_samples(scores, keep_n, largest=not inverse)
         by_id = {s.sample_id: s.score for s in scores}
         subset = SampleSubset(kept_ids, np.asarray([by_id[i] for i in kept_ids]))
-
-        s1, status = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
-                                   _derive_seed(cfg.seed, iteration, 0))
-        records.append(TraceRecord(iteration, PHASE_SAMPLES, s1, mask, subset, status))
+        trace.records.append(TraceRecord(iteration, PHASE_SAMPLES, math.nan, mask, subset))
 
         fisher_l = empirical_fisher(model, train_ds, subset.ids)
         new_sel = top_k_within(fisher_l.values, mask.selected, keep_k,
                                keep_largest=not inverse)
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
-        s2, status = _score_config(model, mask, train_ds, valid_ds, subset.ids, cfg,
-                                   _derive_seed(cfg.seed, iteration, 1))
-        records.append(TraceRecord(iteration, PHASE_PARAMS, s2, mask, subset, status))
+        trace.records.append(TraceRecord(iteration, PHASE_PARAMS, math.nan, mask, subset))
         iteration += 1
-    return IRDTrace(records, initial_mask, initial_subset)
+    return trace, [((r.mask, r.subset.ids if cfg.train_on_subset else None,
+                     _derive_seed(cfg.seed, r.iteration, r.phase == PHASE_PARAMS)), r)
+                   for r in trace.records]
 
 
 def ird_inverse(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
@@ -362,76 +374,64 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     remaining cells, so the two modes are comparable cell for cell. A
     cell's score is its fine-tune's last validation reading on
     ``cfg.train.metric``. Cell RNG derives from (master seed, cell
-    coordinates), making results independent of execution order. Everything
-    runs in order on the calling thread: under the interpreter lock a thread
-    pool ran slower than one thread. ``max_workers`` is accepted for
-    compatibility and ignored.
+    coordinates), making results independent of execution order. Every
+    seed's cells and trace are planned before any fine-tune runs, so a bad
+    schedule raises first; then each seed's fine-tunes run in groups
+    (``training.train_group``) on the calling thread: under the interpreter
+    lock a thread pool ran slower than one thread. ``max_workers`` is
+    accepted for compatibility and ignored.
 
-    Models are rebuilt per master seed from ``model_spec`` (with a derived
-    init seed); pass ``initial_model`` instead to start every seed from one
-    fixed parameter snapshot.
+    A model is built once per master seed from ``model_spec`` (with a
+    derived init seed); pass ``initial_model`` instead to start every seed
+    from one fixed parameter snapshot.
     """
     cfg = cfg or IRDConfig()
     if (model_spec is None) == (initial_model is None):
         raise ValueError("provide exactly one of model_spec / initial_model")
-    cells: list[GridCell] = []
-    traces: list[dict] = []
-
-    def fresh_model(seed):
-        if initial_model is not None:
-            return initial_model.clone()
-        return mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
-
+    plans = []
     for seed in spec.seeds:
-        if spec.mode == "fish_random":
-            for ri, ci in staircase_cells(len(spec.sparsity_levels)):
-                cells.append(_eval_cell(spec, task, fresh_model(seed), cfg, seed, ri, ci))
-        else:
-            trace_cells, trace = _eval_trace(spec, task, fresh_model(seed), cfg, seed)
-            cells.extend(trace_cells)
-            traces.append(trace)
+        model = initial_model if initial_model is not None else mz.build(
+            replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
+        plans.append((seed, model, *_plan_seed(spec, task, model, cfg, seed)))
+    cells, traces = [], []
+    for seed, model, plan, trace in plans:
+        _fine_tune(model, plan, task.train, task.valid, cfg)
+        if trace is None:
+            cells += [cell for _, cell in plan]
+            continue
+        cells.append(plan[0][1])
+        cells += [GridCell(spec.sparsity_levels[r.iteration + (r.phase == PHASE_PARAMS)],
+                           spec.sample_levels[r.iteration + 1], seed, r.score, r.status)
+                  for r in trace.records]
+        traces.append({"seed": seed, **trace.to_json()})
     return GridResult(spec, cells, traces)
 
 
-def _eval_cell(spec, task, model, cfg, seed, ri, ci) -> GridCell:
-    sparsity = spec.sparsity_levels[ri]
-    n_samples = spec.sample_levels[ci]
-    ids = _draw_ids(len(task.train), n_samples, _derive_seed(seed, ri, ci, 0))
-    fisher = empirical_fisher(model, task.train, ids)
-    mask = top_k_mask(fisher, sparsity=sparsity)
-    score, status = _score_config(model, mask, task.train, task.valid, ids, cfg,
-                                  _derive_seed(seed, ri, ci, 1))
-    return GridCell(sparsity, n_samples, seed, score, status)
+def _plan_cell(spec, task, model, cfg, seed, ri, ci):
+    ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
+    mask = top_k_mask(empirical_fisher(model, task.train, ids), sparsity=spec.sparsity_levels[ri])
+    return ((mask, ids if cfg.train_on_subset else None, _derive_seed(seed, ri, ci, 1)),
+            GridCell(spec.sparsity_levels[ri], spec.sample_levels[ci], seed, math.nan))
 
 
-def _eval_trace(spec, task, model, cfg, seed):
-    """Initial cell plus the mapped halving trajectory for one master seed."""
-    levels = spec.sparsity_levels
-    samples = spec.sample_levels
-    inverse = spec.mode == "ird_inverse"
+def _plan_seed(spec, task, model, cfg, seed):
+    """A master seed's jobs, each with the cell or record it scores, and trace."""
+    if spec.mode == "fish_random":
+        return [_plan_cell(spec, task, model, cfg, seed, ri, ci)
+                for ri, ci in staircase_cells(len(spec.sparsity_levels))], None
     run_cfg = replace(cfg, seed=_derive_seed(seed, 99))
-    out_cells = [_eval_cell(spec, task, model, run_cfg, seed, 0, 0)]
-    x0 = _draw_ids(len(task.train), samples[0], _derive_seed(seed, 0, 0, 0))
-    mask_sizes = [mask_size(s, model.num_params) for s in levels]
+    x0 = _draw_ids(len(task.train), spec.sample_levels[0], _derive_seed(seed, 0, 0, 0))
+    mask_sizes = [mask_size(s, model.num_params) for s in spec.sparsity_levels]
     # Degenerate schedules (a level that does not shrink the mask) stop the
     # trace early rather than erroring; the remaining cells stay unexplored.
-    sample_targets, mask_targets = [], []
-    cur_n, cur_k = samples[0], mask_sizes[0]
-    for nxt_n, nxt_k in zip(samples[1:], mask_sizes[1:]):
-        if not (1 <= nxt_n < cur_n and 1 <= nxt_k < cur_k):
-            break
-        sample_targets.append(nxt_n)
-        mask_targets.append(nxt_k)
-        cur_n, cur_k = nxt_n, nxt_k
-    trace = ird(model, task.train, task.valid, x0, initial_k=mask_sizes[0],
-                cfg=run_cfg, inverse=inverse,
-                sample_targets=sample_targets, mask_targets=mask_targets)
-    for rec in trace.records:
-        step = rec.iteration
-        ri = step if rec.phase == PHASE_SAMPLES else step + 1
-        ci = step + 1
-        out_cells.append(GridCell(levels[ri], samples[ci], seed, rec.score, rec.status))
-    return out_cells, {"seed": seed, **trace.to_json()}
+    levels = list(zip(spec.sample_levels, mask_sizes))
+    steps = [nxt for _, nxt in takewhile(lambda s: all(1 <= new < old for old, new in zip(*s)),
+                                         zip(levels, levels[1:]))]
+    initial = _plan_cell(spec, task, model, cfg, seed, 0, 0)
+    trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], run_cfg,
+                              spec.mode == "ird_inverse", [n for n, _ in steps],
+                              [k for _, k in steps])
+    return [initial, *plan], trace
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,27 @@ class TestExitCodes:
         assert "needs a binary head" in json.loads(err)["message"]
         assert not (w / "g.json").exists()
 
+    @pytest.mark.parametrize("sparsity,samples,match", [
+        ("0.3", "1", "at least 2 initial samples"),
+        ("0.0002,0.0001", "32,16", "at least 2 parameters"),
+    ])
+    def test_bad_ird_schedule_is_two_before_any_fine_tune(self, workspace, capsys,
+                                                          monkeypatch, sparsity,
+                                                          samples, match):
+        def no_step(*args):
+            raise AssertionError("a fine-tune ran")
+
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        monkeypatch.setattr(mz.DensePass, "loss_gradient", no_step)
+        code, _, err = run(capsys, "grid", "--data", str(w / "d.jsonl"), "--mode", "ird",
+                           "--sparsity-levels", sparsity, "--sample-levels", samples,
+                           "--out", str(w / "g.json"))
+        assert code == 2
+        assert match in json.loads(err)["message"]
+        assert not (w / "g.json").exists()
+
     def test_grid_metric_comes_from_config(self, workspace, capsys):
         w = workspace
         cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "0",

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion as a user would run it."""
+"""Every demo script, and ``python -m fishgrad``, runs as a user would run it."""
 
 import os
 import subprocess
@@ -7,16 +7,28 @@ from pathlib import Path
 
 import pytest
 
+import fishgrad
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
     # Run from a temporary directory: demos write their outputs relative to it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_package_runs_as_the_cli(tmp_path):
+    proc = run_python(["-m", "fishgrad", "--version"], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == fishgrad.__version__

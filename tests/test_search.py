@@ -362,6 +362,49 @@ class TestRunGrid:
         assert len(threads) == 6
         assert set(threads) == {threading.get_ident()}
 
+    def test_seeds_in_one_grid_equal_seeds_apart(self, monkeypatch):
+        """Fine-tunes group per master seed: a grid over seeds (0, 1) gives
+        the cells and traces of grids over (0,) and (1,) run apart."""
+        ds = dio.generate(dio.SyntheticSpec("xor_ring", n=300, dims=8, noise=0.35, seed=12))
+        task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
+        model_spec = mz.ModelSpec("mlp", input_dim=8, hidden=(400,), num_classes=2, seed=3)
+        group_sizes = []
+        real_heads = tr._train_heads
+
+        def spy(models, *args):
+            group_sizes.append(len(models))
+            return real_heads(models, *args)
+
+        monkeypatch.setattr(tr, "_train_heads", spy)
+        grids = [sr.run_grid(sr.GridSpec((0.025, 0.005, 0.001, 0.0002), (64, 16, 8, 1),
+                                         "ird", seeds), task, model_spec, quick_cfg())
+                 for seeds in [(0, 1), (0,), (1,)]]
+        assert group_sizes[:2] == [7, 7]
+        together, apart = grids[0].to_json(), [g.to_json() for g in grids[1:]]
+        assert together["cells"] == apart[0]["cells"] + apart[1]["cells"]
+        assert together["traces"] == apart[0]["traces"] + apart[1]["traces"]
+
+    @pytest.mark.parametrize("mode,sparsity,samples,match", [
+        ("ird", (0.025,), (1,), "at least 2 initial samples"),
+        ("ird", (0.0002, 0.0001), (32, 16), "at least 2 parameters"),
+        ("ird", (0.025, 0.005), (10_000, 16), "cannot draw"),
+        ("fish_random", (0.025, 0.005), (10_000, 16), "cannot draw"),
+    ])
+    def test_bad_schedules_fail_before_any_fine_tune(self, mode, sparsity, samples, match,
+                                                     monkeypatch):
+        """Every seed's jobs are planned before the first fine-tune, so a
+        schedule that cannot run raises without a single training pass."""
+        ds = dio.generate(dio.SyntheticSpec("xor_ring", n=200, dims=8, seed=12))
+        task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
+        passes = []
+        monkeypatch.setattr(mz.DensePass, "loss_gradient", lambda *a: passes.append(a))
+        monkeypatch.setattr(tr.ad, "loss_gradient", lambda *a: passes.append(a))
+        spec = sr.GridSpec(sparsity, samples, mode, (0, 1))
+        with pytest.raises(ValueError, match=match):
+            sr.run_grid(spec, task, mz.ModelSpec("mlp", input_dim=8, hidden=(400,),
+                                                 num_classes=2), quick_cfg())
+        assert passes == []
+
     def test_json_round_trip(self, blob_splits, tmp_path):
         train, valid = blob_splits
         spec = sr.GridSpec((0.4, 0.2), (16, 4), "ird", (0,))

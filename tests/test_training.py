@@ -296,16 +296,24 @@ class TestFrozenLayers:
     fine-tune must equal the full-model loop byte for byte."""
 
     def assert_matches_reference(self, monkeypatch, spec, where, train, valid, cfg):
-        """Also every step's loss, and its gradient on the trained layers."""
-        steps = []
-        real_loss_gradient = ad.loss_gradient
+        """Also every step's loss, and its gradient on the trained layers:
+        what each optimizer call got, with the loss of the pass before it."""
+        passes, steps = [], []
+        real_loss_gradient = mz.DensePass.loss_gradient
 
-        def recording(*args):
-            value, grad = real_loss_gradient(*args)
-            steps.append((value, grad))
-            return value, grad
+        def recording(self, y):
+            passes.append(real_loss_gradient(self, y))
+            return passes[-1]
 
-        monkeypatch.setattr(ad, "loss_gradient", recording)
+        def stepping(real_step):
+            def step(params, grads, *args, **kwargs):
+                steps.append((np.ravel(passes[-1][0])[0], grads.copy()))
+                return real_step(params, grads, *args, **kwargs)
+            return step
+
+        monkeypatch.setattr(mz.DensePass, "loss_gradient", recording)
+        for name in ("adam_step", "sgd_step"):
+            monkeypatch.setattr(tr, name, stepping(getattr(tr, name)))
         model, ref_model = mz.build(spec), mz.build(spec)
         mask = layer_mask(model, where)
         report = tr.train_masked(model, mask, train, valid, cfg)
@@ -360,7 +368,8 @@ class TestFrozenLayers:
 
     def test_grid_on_training_subsets_matches_full_model_loop(self, monkeypatch):
         """Every cell and trace of an ird grid that fine-tunes on the
-        surviving subsets equals the grid run on the full-model loop."""
+        surviving subsets equals the grid whose planned jobs all run through
+        the full-model loop."""
         ds = dio.generate(dio.SyntheticSpec("xor_ring", n=160, dims=4, noise=0.3, seed=3))
         task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
         spec = sr.GridSpec((0.2, 0.1, 0.05), (40, 9, 1), "ird", (0, 1))
@@ -368,15 +377,25 @@ class TestFrozenLayers:
         cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3),
                            train_on_subset=True)
         result = sr.run_grid(spec, task, model_spec, cfg).to_json()
+        referenced = []
 
-        def reference_train(model, mask, train_ds, valid_ds, run_cfg):
-            losses, readings = reference_fine_tune(model, mask.selected, train_ds,
-                                                   valid_ds, run_cfg)
-            return tr.TrainReport(len(losses), losses, readings, False,
-                                  model.content_hash())
+        def reference_group(models, masks, train_ds, valid_ds, cfgs):
+            outcomes = []
+            for model, mask, run_cfg in zip(models, masks, cfgs):
+                try:
+                    losses, readings = reference_fine_tune(model, mask.selected, train_ds,
+                                                           valid_ds, run_cfg)
+                except tr.TrainingDiverged as exc:
+                    outcomes.append(exc)
+                    continue
+                outcomes.append(tr.TrainReport(len(losses), losses, readings, False,
+                                               model.content_hash()))
+            referenced.extend(masks)
+            return outcomes
 
-        monkeypatch.setattr(sr.tr, "train_masked", reference_train)
+        monkeypatch.setattr(sr.tr, "train_group", reference_group)
         assert result == sr.run_grid(spec, task, model_spec, cfg).to_json()
+        assert len(referenced) == len(result["cells"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_frozen_layer_overflow_diverges_where_the_full_model_does(self):
@@ -406,13 +425,15 @@ class TestFrozenLayers:
         """With an output-only mask, each hidden layer sees the 160 training
         rows once, the first batch again (checked against the full model's
         arithmetic) and the 40 validation rows once, however many epochs
-        run; the output layer runs at every step and every validation."""
+        run; the output layer runs at every step and every validation, and
+        once more over the first batch (its stacked step's check)."""
         rows_by_layer = []
         real_layer = mz._dense_layer
 
         def counting_layer(a, W, b, activation):
-            rows_by_layer.append((W, len(a)))
-            return real_layer(a, W, b, activation)
+            out = real_layer(a, W, b, activation)
+            rows_by_layer.append((W.shape[-2:], out.size // out.shape[-1]))
+            return out
 
         monkeypatch.setattr(mz, "_dense_layer", counting_layer)
         train, valid = blob_task(seed=5)
@@ -421,9 +442,9 @@ class TestFrozenLayers:
         cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=4, patience=10, seed=2)
         report = tr.train_masked(model, layer_mask(model, "output"), train, valid, cfg)
         assert report.epochs_run == 4
-        rows = [sum(n for W, n in rows_by_layer if np.shares_memory(W, model.params.view(w)))
+        rows = [sum(n for shape, n in rows_by_layer if shape == model.params.view(w).shape)
                 for w, _ in model.dense_layers()]
-        assert rows == [160 + 32 + 40] * len(hidden) + [4 * (160 + 40)]
+        assert rows == [160 + 32 + 40] * len(hidden) + [4 * (160 + 40) + 32]
 
     @pytest.mark.parametrize("kind", ["logreg", "tiny_attention", "linear_regressor",
                                       "mlp-layer0", "mlp-dense"])
@@ -450,3 +471,155 @@ class TestFrozenLayers:
                                                 classes=spec.num_classes, seed=0))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         tr.train_masked(model, mask, train, valid, tr.TrainConfig(max_epochs=1))
+
+
+def output_mask(model, step):
+    """Every ``step``-th coordinate of the output layer."""
+    last = len(model.dense_layers()) - 1
+    sel = np.arange(model.params.segment(f"W{last}").offset, model.num_params, step)
+    return fi.Mask(sel, len(sel) / model.num_params, model.num_params, model.content_hash())
+
+
+class TestGroupLoop:
+    """Fine-tunes that share their frozen layers run as one stacked loop
+    (``train_group``); each job equals its solo run byte for byte."""
+
+    def run_group(self, monkeypatch, build, masks, train, valid, cfgs):
+        """Run the jobs as one group and each alone, through ``train_masked``
+        and through the full-model loop, and compare them all; returns the
+        outcomes and the group sizes ``_train_heads`` saw, with whether each
+        passed its first-batch check."""
+        groups = []
+        real_heads = tr._train_heads
+
+        def spy(models, *args):
+            done = real_heads(models, *args)
+            groups.append((len(models), done is not None))
+            return done
+
+        monkeypatch.setattr(tr, "_train_heads", spy)
+        models = [build() for _ in cfgs]
+        outcomes = tr.train_group(models, [mask(models[0]) for mask in masks], train, valid,
+                                  cfgs)
+        seen = list(groups)
+        for model, mask, cfg, outcome in zip(models, masks, cfgs, outcomes):
+            solo, ref = build(), build()
+            selected = mask(solo).selected
+            if isinstance(outcome, tr.TrainingDiverged):
+                with pytest.raises(tr.TrainingDiverged) as alone:
+                    tr.train_masked(solo, mask(solo), train, valid, cfg)
+                with pytest.raises(tr.TrainingDiverged) as full:
+                    reference_fine_tune(ref, selected, train, valid, cfg)
+                where = (outcome.epoch, outcome.batch, outcome.args)
+                assert where == (alone.value.epoch, alone.value.batch, alone.value.args)
+                assert where == (full.value.epoch, full.value.batch, full.value.args)
+            else:
+                assert outcome == tr.train_masked(solo, mask(solo), train, valid, cfg)
+                losses, readings = reference_fine_tune(ref, selected, train, valid, cfg)
+                assert (outcome.train_losses, outcome.val_metrics) == (losses, readings)
+            assert model.params.data.tobytes() == solo.params.data.tobytes()
+            assert model.params.data.tobytes() == ref.params.data.tobytes()
+        return outcomes, seen
+
+    def test_xor_head_with_a_short_last_batch(self, monkeypatch):
+        """The acceptance xor task's 8-400-2 head at batch 32: 450 training
+        rows, so each epoch ends on a 2-row batch."""
+        ds = dio.generate(dio.SyntheticSpec("xor_ring", n=600, dims=8, noise=0.35, seed=12))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        assert len(train) % 32 == 2
+        spec = mz.ModelSpec("mlp", input_dim=8, hidden=(400,), num_classes=2, seed=3)
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(5)]
+        masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3, 7, 40)]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
+                                   cfgs)
+        assert groups == [(5, True)]
+
+    def test_wide_layers_at_batch_seven(self, monkeypatch):
+        train, valid = blob_task(seed=3, n=600, dims=6)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(250, 250), num_classes=2, seed=4)
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=1, batch_size=7, seed=s)
+                for s in range(3)]
+        masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 5)]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
+                                   cfgs)
+        assert groups[0][0] == 3
+
+    def test_head_with_a_hidden_layer(self, monkeypatch):
+        """Masks that start in the middle layer of a 2-hidden-layer MLP train
+        a head with a hidden layer, one group; an output-only mask is its own."""
+        train, valid = blob_task(seed=4, classes=3)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(6, 5), num_classes=3, seed=5,
+                            activation="relu")
+        wheres = ["middle", "spanning", "output", "middle"]
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=7, seed=s)
+                for s in range(len(wheres))]
+        masks = [lambda m, w=w: layer_mask(m, w) for w in wheres]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
+                                   cfgs)
+        assert groups == [(3, True), (1, True)]
+
+    def test_jobs_stop_early_at_different_epochs(self, monkeypatch):
+        train, valid = blob_task(seed=8, classes=3, noise=1.0)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(12,), num_classes=3, seed=2)
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=12, patience=1,
+                               stop_threshold=0.0, seed=s) for s in range(6)]
+        masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3, 4, 5, 6)]
+        outcomes, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train,
+                                          valid, cfgs)
+        assert groups == [(6, True)]
+        assert all(o.stopped_early for o in outcomes)
+        assert len({o.epochs_run for o in outcomes}) > 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_job_diverges_and_its_group_mates_go_on(self, monkeypatch):
+        """Hidden unit 0 reads about 1e160 on half the rows and its output
+        weights start at zero: the job whose mask holds them overflows at
+        its second step; the others never move them."""
+        train, valid = blob_task(seed=6)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=7,
+                            activation="relu")
+
+        def build():
+            model = mz.build(spec)
+            model.params.view("W0")[:, 0] = 1e160
+            model.params.view("W1")[0] = 0.0
+            return model
+
+        def rest_of_output(model):  # output layer without hidden unit 0's weights
+            sel = output_mask(model, 1).selected[2:]
+            return fi.Mask(sel, 0.5, model.num_params, model.content_hash())
+
+        cfgs = [tr.TrainConfig(optimizer="sgd", learning_rate=0.05, max_epochs=3, seed=s)
+                for s in range(3)]
+        outcomes, groups = self.run_group(
+            monkeypatch, build, [rest_of_output, lambda m: output_mask(m, 1), rest_of_output],
+            train, valid, cfgs)
+        assert groups == [(3, True)]
+        assert isinstance(outcomes[1], tr.TrainingDiverged)
+        assert (outcomes[1].epoch, outcomes[1].batch) == (1, 2)
+        assert [o.epochs_run for o in (outcomes[0], outcomes[2])] == [3, 3]
+
+    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
+    def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
+        """With the cached frozen rows, or the stacked step's gradient, one
+        ulp off, the group and then each job alone fail the check and every
+        job runs through the full-model loop."""
+        if broken == "frozen rows":
+            real_rows = tr._frozen_rows
+            monkeypatch.setattr(tr, "_frozen_rows",
+                                lambda *args: np.nextafter(real_rows(*args), np.inf))
+        else:
+            real_step = mz.DensePass.loss_gradient
+
+            def off(self, y):
+                value, grad = real_step(self, y)
+                return value, (np.nextafter(grad, np.inf) if np.ndim(value) else grad)
+
+            monkeypatch.setattr(mz.DensePass, "loss_gradient", off)
+        train, valid = blob_task(seed=9)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(3)]
+        masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
+                                   cfgs)
+        assert groups == [(3, False)] + [(1, False)] * 3
