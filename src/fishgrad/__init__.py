@@ -15,8 +15,7 @@ from .search import (CellComparison, GridResult, GridSpec, IRDConfig, IRDTrace,
                      staircase_cells)
 from .metrics import (accuracy, combined_score, f1, mcc, pearson,
                       pearson_spearman_mean, score, spearman)
-from .models import (Model, ModelSpec, ParamVector, build, gaussian_log_prob,
-                     load_checkpoint, save_checkpoint)
+from .models import Model, ModelSpec, ParamVector, build, load_checkpoint, save_checkpoint
 from .report import comparison_csv, render_heatmap
 from .training import (AdamState, TrainConfig, TrainReport, TrainingDiverged,
                        adam_step, early_stop_check, sgd_step, train_masked)

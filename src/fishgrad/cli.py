@@ -89,8 +89,6 @@ def _train_config(overrides: dict, seed: int | None) -> tr.TrainConfig:
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
     kwargs = {k: v for k, v in overrides.items() if k in known}
-    if "betas" in kwargs:
-        kwargs["betas"] = tuple(kwargs["betas"])
     cfg = tr.TrainConfig(**kwargs)
     if seed is not None and "seed" not in kwargs:
         cfg = replace(cfg, seed=seed)

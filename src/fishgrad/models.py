@@ -220,12 +220,6 @@ class Model:
 
     # -- plain numeric conveniences --
 
-    def log_prob(self, x, y) -> float:
-        """log p(y|x) for one sample."""
-        tape = ad.Tape()
-        value = self.log_prob_mean(tape, np.asarray(x)[None, :], [int(y)])
-        return float(value.data)
-
     def log_probs(self, x) -> np.ndarray:
         """Full log-distribution over classes for one sample."""
         tape = ad.Tape()
@@ -441,10 +435,6 @@ class LinearRegressor(Model):
     def predictions(self, X) -> np.ndarray:
         return self.dense_pass(X).output[:, 0]
 
-    def log_prob(self, x, y) -> float:
-        tape = ad.Tape()
-        return float(self.log_prob_mean(tape, np.asarray(x)[None, :], [float(y)]).data)
-
 
 def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
                  activation: str | None) -> np.ndarray:
@@ -575,13 +565,6 @@ class DensePass:
                 np.swapaxes(self._inputs[i], -1, -2) @ d).reshape(*value.shape, w.length)
             grad[..., b.offset:b.offset + b.length] = d.sum(axis=-2)
         return value, grad
-
-
-def gaussian_log_prob(model: Model, x, y) -> float:
-    """-(f(x)-y)^2/2 for a scalar-output model; rejects classifiers."""
-    if model.is_classifier:
-        raise ValueError("gaussian_log_prob needs a scalar-output regressor")
-    return model.log_prob(x, y)
 
 
 _CLASSES = {"logreg": LogReg, "mlp": MLP, "tiny_attention": TinyAttention,

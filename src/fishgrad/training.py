@@ -2,11 +2,11 @@
 
 Each batch gradient is projected onto the mask, so coordinates outside the
 mask are provably untouched (bit-identical before and after any run).
-Optimizer state is allocated only for masked indices. Dense layers below
-the first one the mask reaches are frozen, so they run ahead of training
-and only the layers above them run forward and backward at each step; the
-fine-tunes of a group that share their frozen layers (``train_group``) step
-together, as one stacked computation.
+Optimizer state is allocated only for masked indices. Every fine-tune runs
+in one loop (``_run_jobs``) with one of two step sources: jobs whose mask
+first reaches dense layer k > 0 freeze layers 0..k-1, run them once ahead of
+training and step their heads together as one stacked computation
+(``_train_heads``); any other job steps its whole model alone.
 The loss is fixed by the model head (negative log-likelihood for
 classifiers, mean squared error for regressors). ``TrainConfig.metric`` is
 the one validation metric: it is read after every epoch, early stopping
@@ -18,7 +18,8 @@ models keep going), and the last reading is the run's score.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+import numbers
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -57,12 +58,14 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        betas = tuple(self.betas) if isinstance(self.betas, (tuple, list)) else ()
+        if len(betas) != 2 or not all(isinstance(b, numbers.Real) and 0 <= b < 1 for b in betas):
+            raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        self.betas = betas
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.metric != "auto" and self.metric not in met.METRICS:
@@ -78,11 +81,7 @@ class TrainReport:
     final_hash: str
 
     def to_json(self) -> dict:
-        return {"epochs_run": self.epochs_run,
-                "train_losses": self.train_losses,
-                "val_metrics": self.val_metrics,
-                "stopped_early": self.stopped_early,
-                "final_hash": self.final_hash}
+        return asdict(self)
 
 
 def early_stop_check(history, patience: int, threshold: float) -> bool:
@@ -90,10 +89,7 @@ def early_stop_check(history, patience: int, threshold: float) -> bool:
     improvement over the running best, and that best exceeds ``threshold``."""
     if len(history) == 0:
         raise ValueError("empty metric history")
-    best_idx = 0
-    for i in range(1, len(history)):
-        if history[i] > history[best_idx]:
-            best_idx = i
+    best_idx = max(range(len(history)), key=history.__getitem__)  # the first best
     stale = len(history) - 1 - best_idx
     return stale >= patience and history[best_idx] > threshold
 
@@ -146,9 +142,9 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
         params[selected] -= update
 
 
-def _check_mask(model, mask: Mask | None) -> np.ndarray | None:
+def _check_mask(model, mask: Mask | None) -> np.ndarray:
     if mask is None:
-        return None
+        return np.arange(model.num_params)  # dense training: every coordinate
     if mask.num_params != model.num_params:
         raise ValueError(f"mask covers {mask.num_params} params, model has {model.num_params}")
     if mask.model_hash is not None and mask.model_hash != model.content_hash():
@@ -156,10 +152,10 @@ def _check_mask(model, mask: Mask | None) -> np.ndarray | None:
     return mask.selected
 
 
-def _first_trained_layer(model, selected: np.ndarray | None) -> int:
+def _first_trained_layer(model, selected: np.ndarray) -> int:
     """Index of the first dense layer holding a selected coordinate; 0 for
     dense training, an empty mask, or a model without dense layers."""
-    if selected is None or len(selected) == 0:
+    if len(selected) == 0:
         return 0
     starts = [model.params.segment(w).offset for w, _ in model.dense_layers()]
     return max(int(np.searchsorted(starts, selected[0], side="right")) - 1, 0)
@@ -193,23 +189,17 @@ def _stacked_pass_agrees(model, k, head, block, train_ds, ids, x, step, values, 
     return True
 
 
-def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
-    """Fine-tune jobs whose equal layers 0..k-1 are frozen, with configs that
-    differ at most in the seed, as one loop: each job's outcome, or None if
-    the first full batch fails its check. The frozen layers run once per
-    split. A step gathers each live job's own batch into a (jobs, batch,
-    width) input, runs ``DensePass`` over a (jobs, head parameters) block and
-    takes one optimizer step over every job's selected coordinates. A job
-    leaves when it stops early, diverges or reads an undefined metric. The
-    check is a sample: it relies on the kernels treating every full batch of
-    the group as they treat the first."""
-    model, cfg, n, size = models[0], cfgs[0], len(train_ds), cfgs[0].batch_size
-    head = model.head(k)
-    offset = model.num_params - head.num_params
-    rows = _frozen_rows(model, k, train_ds.inputs, size)
-    valid_rows = model.layer_input(valid_ds.inputs, k)
-    block = np.stack([m.params.data[offset:] for m in models])
-    sel = [s - offset for s in selections]
+def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
+    """The fine-tune loop. Job j steps coordinates ``sel[j]`` of row j of
+    ``block`` (jobs, parameters), the trailing parameters of ``models[j]``;
+    configs differ at most in the seed. ``step(ids, block, check)`` gives
+    each live job's loss and gradient on its training rows ``ids`` (jobs,
+    batch), or (None, None) if ``check`` (the first batch) fails, and
+    ``read(params)`` a job's validation reading. Returns each job's outcome,
+    or None after a failed check. A job leaves, its parameters written back,
+    when it stops early, diverges or reads an undefined metric."""
+    cfg, n, size = cfgs[0], len(train_ds), cfgs[0].batch_size
+    offset = models[0].num_params - block.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     losses, readings = [[] for _ in models], [[] for _ in models]
     outcomes, live = [None] * len(models), list(range(len(models)))
@@ -233,13 +223,8 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
         perms = np.stack([rngs[j].permutation(n) for j in live])
         batch_losses = np.empty((len(live), -(-n // size)))
         for bi, start in enumerate(range(0, n, size)):
-            ids = perms[:, start:start + size]
-            x = rows[ids] if ids.shape[1] == min(size, n) else np.stack(
-                [model.layer_input(train_ds.inputs[i], k) for i in ids])
-            step = mz.DensePass(head, x, block)
-            values, grads = step.loss_gradient(train_ds.labels[ids])
-            if epoch == bi == 0 and not _stacked_pass_agrees(
-                    model, k, head, block, train_ds, ids, x, step, values, grads):
+            values, grads = step(perms[:, start:start + size], block, epoch == bi == 0)
+            if values is None:
                 return None
             finite = np.isfinite(values)
             if not finite.all():
@@ -265,28 +250,76 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
                                            updated[~np.isfinite(updated)][0], "parameters")
                 continue
             losses[j].append(float(np.mean(batch_losses[row])))
-            preds = np.argmax(mz.DensePass(head, valid_rows, block[row]).output, axis=-1)
             try:
-                readings[j].append(met.evaluate(metric, preds, valid_ds.labels))
+                readings[j].append(read(block[row]))
             except met.UndefinedMetric as exc:
                 done[j] = exc
                 continue
             if early_stop_check(readings[j], cfg.patience, cfg.stop_threshold):
                 done[j] = True
-        leave(done)
+        if done:  # a block that views a model's parameters must stay a view
+            leave(done)
         if not live:
             return outcomes
     leave(dict.fromkeys(live, False))
     return outcomes
 
 
+def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
+    """The stacked step source: jobs whose equal layers 0..k-1 are frozen
+    step their heads as a (jobs, head parameters) block in ``_run_jobs``.
+    The frozen layers run once per split; a step gathers each live job's
+    own batch into a (jobs, batch, width) input and runs ``DensePass`` over
+    the block. The first full batch is checked byte for byte against each
+    job run alone: a sample that relies on the kernels treating every full
+    batch of the group as they treat the first."""
+    model, n, size = models[0], len(train_ds), cfgs[0].batch_size
+    head = model.head(k)
+    offset = model.num_params - head.num_params
+    rows = _frozen_rows(model, k, train_ds.inputs, size)
+    valid_rows = model.layer_input(valid_ds.inputs, k)
+
+    def step(ids, block, check):
+        x = rows[ids] if ids.shape[1] == min(size, n) else np.stack(
+            [model.layer_input(train_ds.inputs[i], k) for i in ids])
+        out = mz.DensePass(head, x, block)
+        values, grads = out.loss_gradient(train_ds.labels[ids])
+        if check and not _stacked_pass_agrees(model, k, head, block, train_ds, ids, x, out,
+                                              values, grads):
+            return None, None
+        return values, grads
+
+    def read(params):
+        preds = np.argmax(mz.DensePass(head, valid_rows, params).output, axis=-1)
+        return met.evaluate(metric, preds, valid_ds.labels)
+
+    return _run_jobs(models, [s - offset for s in selections],
+                     np.stack([m.params.data[offset:] for m in models]), train_ds, cfgs,
+                     step, read)
+
+
+def _train_model(model, selected, train_ds, valid_ds, cfg, metric: str):
+    """The full-model step source, for one job: ``ad.loss_gradient`` on the
+    whole model, whose parameters the block views, and ``metrics.score``."""
+    def step(ids, block, check):
+        value, grad = ad.loss_gradient(model, train_ds.inputs[ids[0]], train_ds.labels[ids[0]])
+        return np.array([value]), grad[None]
+
+    return _run_jobs([model], [selected], model.params.data[None], train_ds, [cfg], step,
+                     lambda params: met.score(metric, model, valid_ds))[0]
+
+
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
-    """Each job's ``train_masked(models[j], masks[j], train_ds, valid_ds,
-    cfgs[j])``, byte for byte: its report, or the ``TrainingDiverged`` or
-    ``UndefinedMetric`` it raised. Masks and metrics are checked before any
-    job runs. Jobs whose mask first reaches the same dense layer k > 0, whose
-    models hold equal layers 0..k-1 and whose configs differ at most in the
-    seed run together in ``_train_heads``; the rest run one at a time."""
+    """Fine-tune ``models[j]`` in place under ``masks[j]`` and ``cfgs[j]``
+    for each job: its report, or the ``TrainingDiverged`` or
+    ``UndefinedMetric`` it ended with. Masks and metrics are checked before
+    any job runs. Every job runs in one loop, with one of two step sources.
+    Jobs whose mask first reaches the same dense layer k > 0, whose models
+    hold equal layers 0..k-1 and whose configs differ at most in the seed
+    step their heads together (``_train_heads``); every other job, and each
+    job of a group that fails its first-batch check, steps its whole model
+    alone (``_train_model``). Losses, readings and parameters are the same
+    either way."""
     groups: dict = {}
     for j, (model, mask, cfg) in enumerate(zip(models, masks, cfgs)):
         selected = _check_mask(model, mask)
@@ -299,68 +332,25 @@ def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
     for k, metric, jobs in groups.values():
         done = k and _train_heads([models[j] for j, _ in jobs], [s for _, s in jobs], k,
                                   train_ds, valid_ds, [cfgs[j] for j, _ in jobs], metric)
-        for i, (j, _) in enumerate(jobs):
-            try:
-                outcomes[j] = done[i] if done else train_masked(models[j], masks[j], train_ds,
-                                                                valid_ds, cfgs[j])
-            except (TrainingDiverged, met.UndefinedMetric) as exc:
-                outcomes[j] = exc
+        for i, (j, selected) in enumerate(jobs):
+            outcomes[j] = done[i] if done else _train_model(models[j], selected, train_ds,
+                                                            valid_ds, cfgs[j], metric)
     return outcomes
 
 
 def train_masked(model, mask: Mask | None, train_ds, valid_ds,
                  cfg: TrainConfig) -> TrainReport:
-    """Fine-tune ``model`` in place, updating only mask-selected indices.
+    """Fine-tune ``model`` in place, updating only mask-selected indices
+    (all, for ``mask=None``): a group of one in ``train_group``, whose
+    ``TrainingDiverged`` or ``UndefinedMetric`` it raises.
 
-    ``mask=None`` trains densely. Batches are drawn in seeded shuffled order;
-    two runs with identical model, data and config produce identical loss
-    curves and final parameters. The metric is checked against the model head
-    and the validation labels before the first step. A non-finite loss, or
-    non-finite updated coordinates after an epoch's last step, raise
-    ``TrainingDiverged``.
-
-    When the lowest selected coordinate sits in dense layer k > 0, layers
-    0..k-1 are frozen and the run is a group of one in ``_train_heads``;
-    otherwise, or if that group fails its first-batch check, every step runs
-    the whole model. Losses, readings and parameters are the same either way.
+    Batches are drawn in seeded shuffled order; two runs with identical
+    model, data and config produce identical loss curves and final
+    parameters. The metric is checked against the model head and the
+    validation labels before the first step. A non-finite loss, or
+    non-finite updated coordinates after an epoch's last step, end the run.
     """
-    selected = _check_mask(model, mask)
-    metric = met.check_metric(cfg.metric, model, valid_ds)
-    k = _first_trained_layer(model, selected)
-    done = k and _train_heads([model], [selected], k, train_ds, valid_ds, [cfg], metric)
-    if done and isinstance(done[0], Exception):
-        raise done[0]
-    if done:
-        return done[0]
-    rng = np.random.default_rng(cfg.seed)
-    n_train = len(train_ds)
-    state = AdamState.for_size(len(selected) if selected is not None else model.num_params)
-    train_losses: list[float] = []
-    val_metrics: list[float] = []
-    stopped_early = False
-    for epoch in range(cfg.max_epochs):
-        perm = rng.permutation(n_train)
-        batch_losses = []
-        for bi, start in enumerate(range(0, n_train, cfg.batch_size)):
-            idx = perm[start:start + cfg.batch_size]
-            value, grad = ad.loss_gradient(model, train_ds.inputs[idx], train_ds.labels[idx])
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch + 1, bi + 1, value)
-            if cfg.optimizer == "sgd":
-                sgd_step(model.params.data, grad, cfg.learning_rate, selected)
-            else:
-                adam_step(model.params.data, grad, state, cfg.learning_rate,
-                          cfg.betas, cfg.eps, selected=selected)
-            batch_losses.append(value)
-        # Every earlier step is caught by the next step's loss check.
-        updated = model.params.data if selected is None else model.params.data[selected]
-        if not np.isfinite(updated).all():
-            bad = updated[~np.isfinite(updated)][0]
-            raise TrainingDiverged(epoch + 1, len(batch_losses), bad, "parameters")
-        train_losses.append(float(np.mean(batch_losses)))
-        val_metrics.append(met.score(metric, model, valid_ds))
-        if early_stop_check(val_metrics, cfg.patience, cfg.stop_threshold):
-            stopped_early = True
-            break
-    return TrainReport(len(train_losses), train_losses, val_metrics,
-                       stopped_early, model.content_hash())
+    outcome = train_group([model], [mask], train_ds, valid_ds, [cfg])[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -7,6 +7,7 @@ import pytest
 
 from fishgrad import cli
 from fishgrad import models as mz
+from fishgrad import training as tr
 
 
 def run(capsys, *argv):
@@ -169,6 +170,31 @@ class TestExitCodes:
                            "--out", str(w / "g.json"))
         assert code == 2
         assert match in json.loads(err)["message"]
+        assert not (w / "g.json").exists()
+
+    @pytest.mark.parametrize("config", [
+        '{"betas": [1.0, 0.999]}',
+        '{"betas": [0.9]}',
+        '{"batch_size": 2.5}',
+        '{"patience": 1.5}',
+        '{"seed": -1}',
+    ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
+            "negative-seed"])
+    def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
+                                                    config):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        for name in ("adam_step", "sgd_step"):
+            monkeypatch.setattr(tr, name, no_step)
+        code, _, err = run(capsys, "grid", "--data", str(w / "d.jsonl"),
+                           "--sparsity-levels", "0.3", "--sample-levels", "4",
+                           "--config", config, "--out", str(w / "g.json"))
+        assert code == 2
+        assert json.loads(err)["error"] == "ValueError"
         assert not (w / "g.json").exists()
 
     def test_grid_metric_comes_from_config(self, workspace, capsys):

@@ -70,11 +70,16 @@ class TestParamVector:
         assert pv.data[0] != cp.data[0]
 
 
+def log_prob(model, x, y) -> float:
+    """log p(y | x) for one row: ``log_prob_mean`` over a one-row batch."""
+    return float(model.log_prob_mean(ad.Tape(), np.asarray(x)[None, :], [y]).data)
+
+
 class TestLogProb:
     def test_zero_weights_uniform(self):
         model = mz.build(mz.ModelSpec("logreg", input_dim=5, num_classes=2, seed=0))
         model.params.data[:] = 0.0
-        assert model.log_prob(np.ones(5), 0) == pytest.approx(math.log(0.5), abs=1e-15)
+        assert log_prob(model, np.ones(5), 0) == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_hand_computed_softmax(self):
         """W puts weight 1 on feature 0 for class 0 only; x = e_0."""
@@ -83,7 +88,7 @@ class TestLogProb:
         model.params.view("W")[0, 0] = 1.0
         x = np.array([1.0, 0.0])
         expected = 1.0 - math.log(math.exp(1.0) + math.exp(0.0))
-        assert model.log_prob(x, 0) == pytest.approx(expected, abs=1e-12)
+        assert log_prob(model, x, 0) == pytest.approx(expected, abs=1e-12)
 
     def test_log_distribution_normalized_for_random_params(self):
         """exp(log p) sums to 1 within 1e-10 across 1000 random draws."""
@@ -98,7 +103,7 @@ class TestLogProb:
     def test_non_finite_input_rejected(self):
         model = mz.build(mz.ModelSpec("logreg", input_dim=2, num_classes=2, seed=0))
         with pytest.raises(ValueError, match="finite"):
-            model.log_prob(np.array([np.nan, 0.0]), 0)
+            log_prob(model, np.array([np.nan, 0.0]), 0)
 
 
 class TestGaussianLogProb:
@@ -111,17 +116,12 @@ class TestGaussianLogProb:
     def test_exact_fit_scores_zero(self):
         x = np.array([1.0, 1.0])
         y = 1.0 + 2.0 + 0.5
-        assert mz.gaussian_log_prob(self.model, x, y) == 0.0
+        assert log_prob(self.model, x, y) == 0.0
 
     def test_two_off_scores_minus_two(self):
         x = np.array([1.0, 1.0])
         y = 3.5 + 2.0
-        assert mz.gaussian_log_prob(self.model, x, y) == pytest.approx(-2.0, abs=1e-15)
-
-    def test_rejects_classifier(self):
-        clf = mz.build(mz.ModelSpec("logreg", input_dim=2, num_classes=2, seed=0))
-        with pytest.raises(ValueError, match="regressor"):
-            mz.gaussian_log_prob(clf, np.zeros(2), 0.0)
+        assert log_prob(self.model, x, y) == pytest.approx(-2.0, abs=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         X = np.array([[0.3, -1.2], [1.4, 0.2]])

@@ -311,20 +311,20 @@ class TestRunGrid:
                                             classes=2, noise=1.5, seed=4))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         metrics_used, last_readings, epochs = [], [], []
-        real_score, real_train = met.score, tr.train_masked
+        real_score, real_train = met.score, tr.train_group
 
         def score_spy(metric, model, dataset):
             metrics_used.append(metric)
             return real_score(metric, model, dataset)
 
         def train_spy(*args, **kwargs):
-            report = real_train(*args, **kwargs)
-            last_readings.append(report.val_metrics[-1])
-            epochs.append(report.epochs_run)
-            return report
+            outcomes = real_train(*args, **kwargs)
+            last_readings.extend(report.val_metrics[-1] for report in outcomes)
+            epochs.extend(report.epochs_run for report in outcomes)
+            return outcomes
 
         monkeypatch.setattr(met, "score", score_spy)
-        monkeypatch.setattr(tr, "train_masked", train_spy)
+        monkeypatch.setattr(tr, "train_group", train_spy)
         cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3,
                                                 metric="mcc"))
         spec = sr.GridSpec((0.4, 0.2), (16, 4), mode, (0,))
@@ -348,13 +348,14 @@ class TestRunGrid:
         import threading
         train, valid = blob_splits
         threads = []
-        real = tr.train_masked
+        real = tr.train_group
 
         def spy(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return real(*args, **kwargs)
+            outcomes = real(*args, **kwargs)
+            threads.extend([threading.get_ident()] * len(outcomes))
+            return outcomes
 
-        monkeypatch.setattr(tr, "train_masked", spy)
+        monkeypatch.setattr(tr, "train_group", spy)
         spec = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1))
         sr.run_grid(spec, sr.Task(train, valid),
                     mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),

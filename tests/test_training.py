@@ -198,6 +198,22 @@ class TestTrainMasked:
         with pytest.raises(ValueError, match="constant labels"):
             tr.train_masked(reg, None, train, flat, tr.TrainConfig())
 
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_whole_model_run_stops_early_as_the_reference_does(self, kind):
+        """Dense training steps the whole model: it stops early where the
+        full-model loop does, with the same readings and parameters."""
+        train, valid = blob_task(seed=8, classes=3, noise=1.0)
+        spec = mz.ModelSpec(kind, input_dim=6, hidden=(12,) if kind == "mlp" else (),
+                            num_classes=3, seed=2)
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=12, patience=1,
+                             stop_threshold=0.0, seed=3)
+        model, ref = mz.build(spec), mz.build(spec)
+        report = tr.train_masked(model, None, train, valid, cfg)
+        losses, readings = reference_fine_tune(ref, None, train, valid, cfg)
+        assert report.stopped_early and report.epochs_run < cfg.max_epochs
+        assert (report.train_losses, report.val_metrics) == (losses, readings)
+        assert model.params.data.tobytes() == ref.params.data.tobytes()
+
     def test_report_shape(self):
         train, valid = blob_task(seed=2)
         model = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=1))
@@ -233,10 +249,29 @@ class TestConfigValidation:
         dict(eps=float("nan")),
         dict(eps=float("inf")),
         dict(max_epochs=0),
+        dict(betas=(1.0, 0.999)),          # 0/0 in Adam's bias correction
+        dict(betas=(0.9, 1.0)),
+        dict(betas=(-0.1, 0.999)),
+        dict(betas=(0.9, float("nan"))),
+        dict(betas=(0.9, float("inf"))),
+        dict(betas=(0.9,)),
+        dict(betas=(0.9, 0.99, 0.999)),
+        dict(betas=0.9),
+        dict(betas=("0.9", "0.999")),
+        dict(batch_size=2.5),
+        dict(max_epochs=3.0),
+        dict(patience=1.5),
+        dict(seed=-1),
+        dict(seed=0.5),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             tr.TrainConfig(**kwargs)
+
+    def test_edge_values_accepted(self):
+        cfg = tr.TrainConfig(betas=[0.0, 0.0], batch_size=np.int64(1), seed=0)
+        assert cfg.betas == (0.0, 0.0)
+        assert tr.TrainConfig(betas=(np.float64(0.5), 0.25)).betas == (0.5, 0.25)
 
 
 def reference_fine_tune(model, selected, train, valid, cfg):
@@ -599,11 +634,49 @@ class TestGroupLoop:
         assert (outcomes[1].epoch, outcomes[1].batch) == (1, 2)
         assert [o.epochs_run for o in (outcomes[0], outcomes[2])] == [3, 3]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_parameters_that_overflow_on_an_epochs_last_step_end_one_job(self):
+        """One step per epoch, so no loss check sees the step that takes
+        the output layer to inf: the parameters are checked after the epoch.
+        Hidden unit 0 is dead on every row, so the jobs whose masks hold only
+        its output weights never move and go on to their second epoch."""
+        train, valid = blob_task(seed=6)
+        train = dio.Dataset(train.inputs * 100, train.labels, train.task, train.num_classes)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=7,
+                            activation="relu")
+
+        def build():
+            model = mz.build(spec)
+            model.params.view("W0")[:, 0] = 0.0
+            model.params.view("b0")[0] = -1.0
+            return model
+
+        def dead_unit(model):
+            sel = model.params.segment("W1").offset + np.arange(2)
+            return fi.Mask(sel, 2 / model.num_params, model.num_params, model.content_hash())
+
+        masks = [dead_unit, lambda m: output_mask(m, 1), dead_unit]
+        cfgs = [tr.TrainConfig(optimizer="sgd", learning_rate=1e308, batch_size=512,
+                               max_epochs=2, seed=s) for s in range(3)]
+        models = [build() for _ in cfgs]
+        outcomes = tr.train_group(models, [mask(m) for mask, m in zip(masks, models)],
+                                  train, valid, cfgs)
+        assert isinstance(outcomes[1], tr.TrainingDiverged)
+        assert "non-finite parameters" in str(outcomes[1])
+        assert (outcomes[1].epoch, outcomes[1].batch) == (1, 1)
+        for j in (0, 2):
+            ref = build()
+            losses, readings = reference_fine_tune(ref, dead_unit(ref).selected, train, valid,
+                                                   cfgs[j])
+            assert outcomes[j].epochs_run == 2
+            assert (outcomes[j].train_losses, outcomes[j].val_metrics) == (losses, readings)
+            assert models[j].params.data.tobytes() == ref.params.data.tobytes()
+
     @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
     def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
         """With the cached frozen rows, or the stacked step's gradient, one
-        ulp off, the group and then each job alone fail the check and every
-        job runs through the full-model loop."""
+        ulp off, the group fails the check and every job runs straight
+        through the full-model step, with no group-of-one retry."""
         if broken == "frozen rows":
             real_rows = tr._frozen_rows
             monkeypatch.setattr(tr, "_frozen_rows",
@@ -622,4 +695,4 @@ class TestGroupLoop:
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
                                    cfgs)
-        assert groups == [(3, False)] + [(1, False)] * 3
+        assert groups == [(3, False)]
