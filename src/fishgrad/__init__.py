@@ -7,9 +7,9 @@ __version__ = "0.1.0"
 from .autodiff import (ShapeMismatch, Tape, Tensor, finite_difference_gradient,
                        log_prob_gradient, loss_gradient, per_sample_gradients)
 from .data import Dataset, SyntheticSpec, featurize_text, generate, load, save, split
-from .fisher import (FisherDiagonal, Mask, SampleScore, SampleSubset,
-                     empirical_fisher, expectation_fisher, mask_size,
-                     random_mask, sample_scores, top_k_mask)
+from .fisher import (FisherDiagonal, Mask, SampleSubset, empirical_fisher,
+                     expectation_fisher, mask_size, random_mask, sample_scores,
+                     top_k_mask)
 from .search import (CellComparison, GridResult, GridSpec, IRDConfig, IRDTrace,
                      Task, compare_grids, ird, ird_inverse, run_grid,
                      staircase_cells)

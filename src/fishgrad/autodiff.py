@@ -125,11 +125,8 @@ class Tape:
         out_node = self._nodes[out_id]
         seed_arr = _as_f64(seed)
         if seed_arr.shape != out_node.shape:
-            if seed_arr.shape == () and out_node.shape == ():
-                pass
-            else:
-                raise ShapeMismatch("gradient",
-                                    f"seed shape {seed_arr.shape} != output shape {out_node.shape}")
+            raise ShapeMismatch("gradient",
+                                f"seed shape {seed_arr.shape} != output shape {out_node.shape}")
 
         adjoints: list[np.ndarray | None] = [None] * len(self._nodes)
         adjoints[out_id] = seed_arr

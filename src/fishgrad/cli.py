@@ -85,12 +85,11 @@ def _load_json_arg(value: str | None) -> dict:
 
 def _train_config(overrides: dict, seed: int | None) -> tr.TrainConfig:
     known = {f for f in tr.TrainConfig.__dataclass_fields__}
-    unknown = set(overrides) - known - {"max_seq_length"}  # accepted and ignored
+    unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in overrides.items() if k in known}
-    cfg = tr.TrainConfig(**kwargs)
-    if seed is not None and "seed" not in kwargs:
+    cfg = tr.TrainConfig(**overrides)
+    if seed is not None and "seed" not in overrides:
         cfg = replace(cfg, seed=seed)
     return cfg
 

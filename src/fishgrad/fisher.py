@@ -4,24 +4,24 @@ The per-parameter importance score is the mean over samples of the squared
 log-likelihood gradient. Two estimators are provided: the ground-truth-label
 form (mean of squared per-sample gradients) and the label-expectation form
 (classifiers only: the inner sum runs over all classes weighted by the model's
-own predictive distribution). Masks select the top-k scored parameter indices
-with ties broken toward the lowest index so every selection is reproducible.
+own predictive distribution). Masks, like the search's sample halvings, keep
+the top-k scored indices (``top_k_within``) with ties broken toward the
+lowest index so every selection is reproducible.
 
-Scores are computed without forming any per-sample gradient. For a dense
-layer, row i's weight gradient is the outer product of its input a_i and its
-output gradient delta_i, so the squared gradients summed over rows are
-(A^2)^T Delta^2 and each row's masked squared norm is a row sum of
-(A^2 @ M) * Delta^2. Models that are stacks of dense layers (logreg, mlp,
-linear_regressor) supply A and Delta from one untaped forward pass and one
-batched backward pass (``models.DensePass``). A model without that structure
-(tiny_attention) falls back to one tape pass per row.
+All three scorers reduce one primitive, each row's squared gradient as
+per-layer blocks (``_squared_blocks``). For a dense layer, row i's weight
+gradient is the outer product of its input a_i and its output gradient
+delta_i, so the squared gradients summed over rows are (A^2)^T Delta^2 and
+each row's masked squared norm is a row sum of (A^2 @ M) * Delta^2. Stacks
+of dense layers (logreg, mlp, linear_regressor) supply A and Delta from one
+batched pass (``models.DensePass``) and form no per-sample gradient; any
+other model (tiny_attention) runs one tape pass per row and label.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,27 +30,17 @@ from . import autodiff as ad
 
 @dataclass
 class SampleSubset:
-    """Ordered, unique dataset row indices, optionally with per-sample scores."""
+    """Ordered, unique dataset row indices."""
 
     ids: np.ndarray
-    scores: np.ndarray | None = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if len(np.unique(self.ids)) != len(self.ids):
             raise ValueError("sample ids must be unique")
-        if self.scores is not None:
-            self.scores = np.asarray(self.scores, dtype=np.float64)
-            if len(self.scores) != len(self.ids):
-                raise ValueError("scores must align 1:1 with ids")
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class SampleScore(NamedTuple):
-    sample_id: int
-    score: float
 
 
 @dataclass
@@ -82,7 +72,6 @@ class Mask:
     sparsity: float
     num_params: int
     model_hash: str | None = None
-    tie_break: str = "lowest_index"
 
     def __post_init__(self):
         self.selected = np.asarray(self.selected, dtype=np.int64)
@@ -124,57 +113,73 @@ def _span(segment) -> slice:
     return slice(segment.offset, segment.offset + segment.length)
 
 
-def _factored_diagonal(num_params: int, factors, squares) -> np.ndarray:
-    """Sum over rows of squared per-example gradients, from layer factors.
+def _tape_rows(model, X, y):
+    """Each row's log-likelihood gradient and p(y_i | x_i), from one tape
+    pass per row: the path for models without dense-layer factors."""
+    grads, log_p = np.empty((len(X), model.num_params)), np.empty(len(X))
+    for i in range(len(X)):
+        tape = ad.Tape()
+        out = model.log_prob_mean(tape, X[i:i + 1], y[i:i + 1])
+        grads[i], log_p[i] = tape.gradient(1.0, output=out), out.data
+    return grads, np.exp(log_p)
 
-    ``squares`` holds one (n, fan_out) matrix S per layer: the squared
-    output gradients, or their class-weighted sum. Row i's weight gradient
-    is outer(a_i, delta_i), so the weight block sums to (A^2)^T S and the
-    bias block to the column sums of S; no (n x P) matrix is formed.
+
+def _squared_blocks(model, X, y=None) -> list[tuple]:
+    """Each row's squared log-likelihood gradient at labels ``y`` (or, with
+    ``y=None``, summed over the classes weighted by the model's predictive
+    probabilities) as per-layer blocks (weight span, bias span or None, A^2,
+    S): row i's share is outer(A^2[i], S[i]) on the weight span and S[i] on
+    the bias span. A dense stack gives one block per layer; any other model
+    gives one block over the whole vector, with a column of ones as A.
     """
-    values = np.zeros(num_params, dtype=np.float64)
-    for f, sq in zip(factors, squares):
-        values[_span(f.weight)] = ((f.inputs ** 2).T @ sq).ravel()
-        values[_span(f.bias)] = sq.sum(axis=0)
+    n = len(X)
+    dense = model.dense_pass(X)
+    total = None
+    for cls in [None] if y is not None else range(model.num_classes):
+        labels = y if cls is None else np.full(n, cls)
+        if dense is None:
+            grads, p = _tape_rows(model, X, labels)
+            layers = [(slice(0, model.num_params), None, np.ones((n, 1)), grads)]
+        else:
+            layers = [(_span(f.weight), _span(f.bias), f.inputs, f.grads)
+                      for f in dense.factors(labels)]
+            p = None if cls is None else dense.probs[:, cls]
+        squares = [g ** 2 if cls is None else p[:, None] * g ** 2 for *_, g in layers]
+        total = squares if total is None else [acc + s for acc, s in zip(total, squares)]
+    return [(w, b, a ** 2, sq) for (w, b, a, _), sq in zip(layers, total)]
+
+
+def _diagonal(model, blocks) -> np.ndarray:
+    """Sum over rows of the squared gradients: (A^2)^T S on a weight span,
+    the column sums of S on a bias span; no (n x P) matrix is formed."""
+    values = np.zeros(model.num_params, dtype=np.float64)
+    for weight, bias, a2, sq in blocks:
+        values[weight] = (a2.T @ sq).ravel()
+        if bias is not None:
+            values[bias] = sq.sum(axis=0)
     return values
 
 
-def _masked_row_squares(f, keep: np.ndarray) -> np.ndarray:
-    """Each row's squared gradient on one dense layer, summed over the kept
-    coordinates: rows of (A^2 @ M) * Delta^2 plus Delta^2 @ m_b."""
-    a2, sq = f.inputs ** 2, f.grads ** 2
-    m = keep[_span(f.weight)].reshape(a2.shape[1], sq.shape[1]).astype(np.float64)
+def _masked_rows(block, keep: np.ndarray) -> np.ndarray:
+    """Each row's squared gradient on one block, summed over the kept
+    coordinates: rows of (A^2 @ M) * S plus S @ m_b."""
+    weight, bias, a2, sq = block
+    m = keep[weight].reshape(a2.shape[1], sq.shape[1]).astype(np.float64)
     # Contract the mask with the narrower side, so no (n x wider side)
     # product is formed next to the squares.
     if a2.shape[1] < sq.shape[1]:
         rows = (a2 * (sq @ m.T)).sum(axis=1)
     else:
         rows = ((a2 @ m) * sq).sum(axis=1)
-    return rows + sq @ keep[_span(f.bias)].astype(np.float64)
-
-
-def _tape_squares(model, X, y):
-    """Squared log-likelihood gradient of each row from its own tape pass:
-    the path for models without dense-layer factors (tiny_attention)."""
-    for i in range(len(X)):
-        g = ad.log_prob_gradient(model, X[i:i + 1], y[i:i + 1])
-        yield g * g
+    return rows if bias is None else rows + sq @ keep[bias].astype(np.float64)
 
 
 def empirical_fisher(model, dataset, subset=None) -> FisherDiagonal:
     """Mean of squared per-sample log-likelihood gradients at ground-truth labels."""
     ids = _resolve_subset(dataset, subset)
-    X, y = dataset.inputs[ids], dataset.labels[ids]
-    dense = model.dense_pass(X)
-    if dense is None:
-        total = np.zeros(model.num_params, dtype=np.float64)
-        for sq in _tape_squares(model, X, y):
-            total += sq
-    else:
-        factors = dense.factors(y)
-        total = _factored_diagonal(model.num_params, factors,
-                                   (f.grads ** 2 for f in factors))
-    return FisherDiagonal(total / len(ids), "empirical", ids, model.content_hash())
+    blocks = _squared_blocks(model, dataset.inputs[ids], dataset.labels[ids])
+    return FisherDiagonal(_diagonal(model, blocks) / len(ids), "empirical", ids,
+                          model.content_hash())
 
 
 def expectation_fisher(model, dataset, subset=None) -> FisherDiagonal:
@@ -184,28 +189,14 @@ def expectation_fisher(model, dataset, subset=None) -> FisherDiagonal:
     if not model.is_classifier:
         raise ValueError("expectation_fisher needs a classifier (finite class set)")
     ids = _resolve_subset(dataset, subset)
-    X = dataset.inputs[ids]
-    n = len(ids)
-    dense = model.dense_pass(X)
-    if dense is None:
-        probs = np.exp([model.log_probs(x) for x in X])
-        total = np.zeros(model.num_params, dtype=np.float64)
-        for cls in range(model.num_classes):
-            for p, sq in zip(probs[:, cls], _tape_squares(model, X, np.full(n, cls))):
-                total += p * sq
-    else:
-        squares = None
-        for cls in range(model.num_classes):
-            factors = dense.factors(np.full(n, cls))
-            weighted = [dense.probs[:, cls:cls + 1] * f.grads ** 2 for f in factors]
-            squares = weighted if squares is None else [
-                acc + w for acc, w in zip(squares, weighted)]
-        total = _factored_diagonal(model.num_params, factors, squares)
-    return FisherDiagonal(total / n, "expectation", ids, model.content_hash())
+    blocks = _squared_blocks(model, dataset.inputs[ids])
+    return FisherDiagonal(_diagonal(model, blocks) / len(ids), "expectation", ids,
+                          model.content_hash())
 
 
-def sample_scores(model, dataset, subset=None, restrict: Mask | None = None) -> list[SampleScore]:
-    """Squared gradient norm per sample, optionally summed only over a mask.
+def sample_scores(model, dataset, subset=None, restrict: Mask | None = None) -> np.ndarray:
+    """Squared gradient norm per sample, aligned with the subset's ids,
+    optionally summed only over a mask.
 
     This is the scalar used to rank samples: the sample's additive
     contribution to the diagonal score total. For a dense layer the masked
@@ -213,17 +204,12 @@ def sample_scores(model, dataset, subset=None, restrict: Mask | None = None) -> 
     where M is the layer's block of the mask (all ones when unrestricted).
     """
     ids = _resolve_subset(dataset, subset)
-    X, y = dataset.inputs[ids], dataset.labels[ids]
     keep = (restrict.as_bool() if restrict is not None
             else np.ones(model.num_params, dtype=bool))
-    dense = model.dense_pass(X)
-    if dense is None:
-        scores = [float(sq[keep].sum()) for sq in _tape_squares(model, X, y)]
-    else:
-        scores = np.zeros(len(ids), dtype=np.float64)
-        for f in dense.factors(y):
-            scores += _masked_row_squares(f, keep)
-    return [SampleScore(int(i), float(s)) for i, s in zip(ids, scores)]
+    scores = np.zeros(len(ids), dtype=np.float64)
+    for block in _squared_blocks(model, dataset.inputs[ids], dataset.labels[ids]):
+        scores += _masked_rows(block, keep)
+    return scores
 
 
 def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,
@@ -236,19 +222,18 @@ def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,
         k = mask_size(sparsity, n)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    # Stable sort on descending score keeps lower indices first among ties.
-    order = np.argsort(-fisher.values, kind="stable")
-    selected = np.sort(order[:k])
-    return Mask(selected, sparsity if sparsity is not None else k / n, n,
-                model_hash or fisher.model_hash)
+    return Mask(top_k_within(fisher.values, np.arange(n), k),
+                sparsity if sparsity is not None else k / n, n, model_hash or fisher.model_hash)
 
 
 def top_k_within(fisher_values: np.ndarray, candidates: np.ndarray, k: int,
                  keep_largest: bool = True) -> np.ndarray:
     """Rank only ``candidates`` by score and keep k of them, sorted ascending.
 
-    ``keep_largest=False`` keeps the k lowest-scored candidates instead; the
-    two calls partition the candidate set for complementary-half searches.
+    A stable sort on descending score puts earlier candidates first among
+    ties. ``keep_largest=False`` keeps the k lowest-scored candidates
+    instead; the two calls partition the candidate set for complementary-half
+    searches.
     """
     cand = np.asarray(candidates, dtype=np.int64)
     if not 0 <= k <= len(cand):

@@ -300,20 +300,14 @@ class MLP(Model):
         """Layers k.. (k >= 1) as an MLP over layer k-1's activations.
 
         The head's parameters are a view of this model's, so a step on the
-        head updates this model. Its inputs are activations, not data, and
-        are not checked: a non-finite one flows on as in the full model.
+        head updates this model. Training runs it through ``DensePass``,
+        which does not check inputs: a non-finite activation flows on as in
+        the full model.
         """
         spec = replace(self.spec, input_dim=self.spec.hidden[k - 1],
                        hidden=self.spec.hidden[k:])
         offset = self.params.segment(f"W{k}").offset
-        return _Head(spec, ParamVector(MLP.layout(spec)[0], self.params.data[offset:]))
-
-
-class _Head(MLP):
-    """An MLP over another MLP's hidden activations (see ``MLP.head``)."""
-
-    def _check_inputs(self, X) -> np.ndarray:
-        return X
+        return MLP(spec, ParamVector(MLP.layout(spec)[0], self.params.data[offset:]))
 
 
 class TinyAttention(Model):

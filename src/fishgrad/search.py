@@ -140,28 +140,19 @@ def _fine_tune(initial_model, plan, train_ds, valid_ds, cfg: IRDConfig) -> None:
                 target.score, target.status = outcome.val_metrics[-1], "ok"
 
 
-def _keep_samples(scores: list, keep: int, largest: bool) -> np.ndarray:
-    """ids of the ``keep`` highest- (or lowest-) scored samples.
-
-    Ordering is by (-score, id), so ties at the median go to the kept-larger
-    side by lower id and the top/bottom splits always partition the set.
-    """
-    arr = sorted(scores, key=lambda s: (-s.score, s.sample_id))
-    chosen = arr[:keep] if largest else arr[len(arr) - keep:]
-    return np.sort(np.asarray([s.sample_id for s in chosen], dtype=np.int64))
-
-
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
         initial_k: int | None = None, cfg: IRDConfig | None = None,
         inverse: bool = False, sample_targets=None, mask_targets=None) -> IRDTrace:
     """Run the halving search from sample set ``x0`` and a top-k mask.
 
-    ``sample_targets`` / ``mask_targets`` override the default ceil-halving
-    shrink schedule with explicit successive sizes (used by the grid runner
-    to hit preset axis levels). Masks always shrink within the previous mask,
-    so the recorded masks are strictly nested, as are the sample subsets.
-    No score feeds back into the search, so the trajectory is planned first
-    and a bad schedule raises before any fine-tune runs (``_fine_tune``).
+    ``sample_targets`` / ``mask_targets`` override the default shrink
+    schedule, which halves both sets (ceil halves; floor halves for the
+    inverse search), with explicit successive sizes (used by the grid runner
+    to hit preset axis levels). The search stops once either set has one
+    element. Masks always shrink within the previous mask, so the recorded
+    masks are strictly nested, as are the sample subsets. No score feeds
+    back into the search, so the trajectory is planned first and a bad
+    schedule raises before any fine-tune runs (``_fine_tune``).
     """
     cfg = cfg or IRDConfig()
     trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg, inverse,
@@ -170,10 +161,24 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     return trace
 
 
+def _halvings(size: int, inverse: bool) -> list[int]:
+    """Successive halves of ``size`` down to one element."""
+    sizes = []
+    while size > 1:
+        size = size // 2 if inverse else math.ceil(size / 2)
+        sizes.append(size)
+    return sizes
+
+
 def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig,
                 inverse: bool, sample_targets, mask_targets):
     """The search's subsets and masks as a trace with unscored records, and
-    each record's fine-tune job paired with the record."""
+    each record's fine-tune job paired with the record.
+
+    The schedule never depends on a score, so the default one is worked out
+    before the search starts. Both halving steps are one operation: score
+    the current set, then keep the scheduled number with ``top_k_within``.
+    """
     if (sample_targets is None) != (mask_targets is None):
         raise ValueError("provide both shrink schedules or neither")
     x0 = np.asarray(x0, dtype=np.int64)
@@ -183,27 +188,22 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig
                       k=initial_k)
     if mask.size < 2:
         raise ValueError(f"initial mask must select at least 2 parameters, got {mask.size}")
+    if sample_targets is None:
+        sample_targets, mask_targets = _halvings(len(x0), inverse), _halvings(mask.size, inverse)
     subset = SampleSubset(x0)
     trace = IRDTrace([], mask, subset)
-    sample_targets = list(sample_targets) if sample_targets is not None else None
-    mask_targets = list(mask_targets) if mask_targets is not None else None
-    iteration = 0
-    while len(subset) > 1 and mask.size > 1:
-        if sample_targets is not None or mask_targets is not None:
-            if not sample_targets or not mask_targets:
-                break
-            keep_n, keep_k = sample_targets.pop(0), mask_targets.pop(0)
-            if not 1 <= keep_n < len(subset) or not 1 <= keep_k < mask.size:
-                raise ValueError(f"schedule step ({keep_n}, {keep_k}) does not shrink "
-                                 f"({len(subset)}, {mask.size})")
-        else:
-            keep_n = math.ceil(len(subset) / 2) if not inverse else len(subset) // 2
-            keep_k = math.ceil(mask.size / 2) if not inverse else mask.size // 2
-        scores = sample_scores(model, train_ds, subset,
-                               restrict=mask if cfg.restrict_sample_scores else None)
-        kept_ids = _keep_samples(scores, keep_n, largest=not inverse)
-        by_id = {s.sample_id: s.score for s in scores}
-        subset = SampleSubset(kept_ids, np.asarray([by_id[i] for i in kept_ids]))
+    for iteration, (keep_n, keep_k) in enumerate(zip(sample_targets, mask_targets)):
+        if len(subset) == 1 or mask.size == 1:
+            break
+        if not 1 <= keep_n < len(subset) or not 1 <= keep_k < mask.size:
+            raise ValueError(f"schedule step ({keep_n}, {keep_k}) does not shrink "
+                             f"({len(subset)}, {mask.size})")
+        # Scores indexed by row id, so ties go to the lower id whatever x0's order.
+        by_id = np.zeros(len(train_ds))
+        by_id[subset.ids] = sample_scores(model, train_ds, subset,
+                                          restrict=mask if cfg.restrict_sample_scores else None)
+        subset = SampleSubset(top_k_within(by_id, np.sort(subset.ids), keep_n,
+                                           keep_largest=not inverse))
         trace.records.append(TraceRecord(iteration, PHASE_SAMPLES, math.nan, mask, subset))
 
         fisher_l = empirical_fisher(model, train_ds, subset.ids)
@@ -212,7 +212,6 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
         trace.records.append(TraceRecord(iteration, PHASE_PARAMS, math.nan, mask, subset))
-        iteration += 1
     return trace, [((r.mask, r.subset.ids if cfg.train_on_subset else None,
                      _derive_seed(cfg.seed, r.iteration, r.phase == PHASE_PARAMS)), r)
                    for r in trace.records]

@@ -54,6 +54,9 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in ("learning_rate", "eps", "stop_threshold"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not (math.isfinite(self.eps) and self.eps > 0):

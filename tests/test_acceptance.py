@@ -180,9 +180,8 @@ def test_criterion_07_inverse_complementarity():
     for _ in range(50):
         n = int(rng.integers(2, 64))
         values = rng.permutation(n * 7)[:n].astype(float)
-        scores = [fi.SampleScore(i, v) for i, v in enumerate(values)]
-        fwd = sr._keep_samples(scores, math.ceil(n / 2), largest=True)
-        inv = sr._keep_samples(scores, n // 2, largest=False)
+        fwd = fi.top_k_within(values, np.arange(n), math.ceil(n / 2))
+        inv = fi.top_k_within(values, np.arange(n), n // 2, keep_largest=False)
         ok &= len(np.intersect1d(fwd, inv)) == 0
         ok &= bool(np.array_equal(np.union1d(fwd, inv), np.arange(n)))
     _report(7, "inverse complementarity", ok, "(50 vectors)")

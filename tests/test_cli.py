@@ -117,7 +117,8 @@ class TestExitCodes:
         '{"loss": "nll"}',            # the loss is fixed by the model head
         '{"metric": "acuracy"}',      # not a metric
         '{"metric": "pearson"}',      # a regression metric on a classifier
-    ], ids=["loss-key", "unknown-metric", "metric-head-mismatch"])
+        '{"max_seq_length": 128}',    # not a train setting
+    ], ids=["loss-key", "unknown-metric", "metric-head-mismatch", "max-seq-length"])
     def test_bad_train_config_is_two(self, workspace, capsys, config):
         w = workspace
         cli.main(["gen-data", "--n", "40", "--dims", "4", "--seed", "0",
@@ -178,8 +179,12 @@ class TestExitCodes:
         '{"batch_size": 2.5}',
         '{"patience": 1.5}',
         '{"seed": -1}',
+        '{"learning_rate": "0.1"}',
+        '{"stop_threshold": "x", "patience": 1}',
+        '{"stop_threshold": "x", "max_epochs": 2}',
     ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
-            "negative-seed"])
+            "negative-seed", "string-learning-rate", "string-threshold",
+            "string-threshold-few-epochs"])
     def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
                                                     config):
         def no_step(*args, **kwargs):

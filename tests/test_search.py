@@ -72,6 +72,48 @@ class TestTraceShape:
         with pytest.raises(ValueError, match="at least 2 parameters"):
             sr.ird(blob_model, train, valid, np.arange(4), initial_k=1, cfg=quick_cfg())
 
+    @pytest.mark.parametrize("samples,masks,sizes", [
+        ([2, 1, 1, 1], [6, 4, 3, 2], ([4, 2, 1], [8, 6, 4])),  # samples reach 1 first
+        ([3, 2, 1], [2, 1, 1], ([4, 3, 2], [8, 2, 1])),        # the mask reaches 1 first
+    ], ids=["samples", "mask"])
+    def test_long_explicit_schedule_stops_at_one_element(self, blob_splits, blob_model,
+                                                         samples, masks, sizes):
+        train, valid = blob_splits
+        trace = sr.ird(blob_model, train, valid, np.arange(4), initial_k=8, cfg=quick_cfg(),
+                       sample_targets=samples, mask_targets=masks)
+        assert (trace.sample_sizes(), trace.mask_sizes()) == sizes
+
+    @pytest.mark.parametrize("inverse,samples,masks", [
+        (False, [6, 3, 2, 1], [7, 4, 2, 1]),  # ceil halves of 11 and 13
+        (True, [5, 2, 1], [6, 3, 1]),         # floor halves
+    ], ids=["forward", "inverse"])
+    def test_default_schedule_is_the_explicit_halving_schedule(self, blob_splits, blob_model,
+                                                               inverse, samples, masks):
+        train, valid = blob_splits
+        x0 = np.arange(11)
+        default = sr.ird(blob_model, train, valid, x0, initial_k=13, cfg=quick_cfg(),
+                         inverse=inverse)
+        explicit = sr.ird(blob_model, train, valid, x0, initial_k=13, cfg=quick_cfg(),
+                          inverse=inverse, sample_targets=samples, mask_targets=masks)
+        assert len(default) == 2 * len(samples)
+        assert default.to_json() == explicit.to_json()
+
+    def test_tied_samples_go_to_the_lower_id_whatever_the_order_of_x0(self):
+        """A zero-weight two-class MLP gives every row the same score, so the
+        forward search keeps the lower half of the ids and the inverse the
+        upper half."""
+        ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=40, dims=4, classes=2,
+                                            noise=0.5, seed=0))
+        train, valid = dio.train_valid_split(ds, 0.2, seed=0)
+        model = mz.build(mz.ModelSpec("mlp", input_dim=4, hidden=(3,), num_classes=2))
+        model.params.data[:] = 0.0
+        x0 = np.array([30, 4, 8, 1, 9, 2])
+        assert np.unique(fi.sample_scores(model, train, x0)).size == 1
+        for inverse, kept in ((False, [1, 2, 4]), (True, [8, 9, 30])):
+            trace = sr.ird(model, train, valid, x0, initial_k=2, cfg=quick_cfg(),
+                           inverse=inverse)
+            np.testing.assert_array_equal(trace.records[0].subset.ids, kept)
+
     def test_reproducible_traces(self, blob_splits, blob_model):
         train, valid = blob_splits
         runs = [sr.ird(blob_model, train, valid, np.arange(8), initial_k=8,
@@ -82,9 +124,9 @@ class TestTraceShape:
 class TestInverseComplementarity:
     def test_median_split_example(self):
         """Scores 1..4: forward keeps the {3,4}-scored ids, inverse {1,2}."""
-        scores = [fi.SampleScore(i, float(s)) for i, s in enumerate([1, 2, 3, 4])]
-        fwd = sr._keep_samples(scores, 2, largest=True)
-        inv = sr._keep_samples(scores, 2, largest=False)
+        scores = np.array([1.0, 2.0, 3.0, 4.0])
+        fwd = fi.top_k_within(scores, np.arange(4), 2)
+        inv = fi.top_k_within(scores, np.arange(4), 2, keep_largest=False)
         np.testing.assert_array_equal(fwd, [2, 3])
         np.testing.assert_array_equal(inv, [0, 1])
 
@@ -93,18 +135,17 @@ class TestInverseComplementarity:
         for _ in range(50):
             n = int(rng.integers(2, 40))
             values = rng.permutation(n * 10)[:n].astype(float)  # distinct
-            scores = [fi.SampleScore(i, v) for i, v in enumerate(values)]
-            fwd = sr._keep_samples(scores, math.ceil(n / 2), largest=True)
-            inv = sr._keep_samples(scores, n // 2, largest=False)
+            fwd = fi.top_k_within(values, np.arange(n), math.ceil(n / 2))
+            inv = fi.top_k_within(values, np.arange(n), n // 2, keep_largest=False)
             assert len(np.intersect1d(fwd, inv)) == 0
             np.testing.assert_array_equal(np.union1d(fwd, inv), np.arange(n))
             if len(inv):
                 assert values[fwd].min() > values[inv].max()
 
     def test_tie_at_median_goes_to_kept_larger_side_by_lower_id(self):
-        scores = [fi.SampleScore(i, v) for i, v in enumerate([5.0, 3.0, 3.0, 1.0])]
-        fwd = sr._keep_samples(scores, 2, largest=True)
-        inv = sr._keep_samples(scores, 2, largest=False)
+        scores = np.array([5.0, 3.0, 3.0, 1.0])
+        fwd = fi.top_k_within(scores, np.arange(4), 2)
+        inv = fi.top_k_within(scores, np.arange(4), 2, keep_largest=False)
         np.testing.assert_array_equal(fwd, [0, 1])  # id 1 wins the 3.0 tie
         np.testing.assert_array_equal(inv, [2, 3])
 
@@ -133,7 +174,7 @@ class TestInverseComplementarity:
                             cfg=sr.IRDConfig(train=cfg.train, restrict_sample_scores=True))
         mask0 = restricted.initial_mask
         scores = fi.sample_scores(blob_model, train, np.arange(8), restrict=mask0)
-        expected = sr._keep_samples(scores, 4, largest=True)
+        expected = fi.top_k_within(scores, np.arange(8), 4)
         np.testing.assert_array_equal(restricted.records[0].subset.ids, expected)
 
     def test_train_on_subset_flag_changes_scores(self, blob_splits, blob_model):

@@ -263,6 +263,10 @@ class TestConfigValidation:
         dict(patience=1.5),
         dict(seed=-1),
         dict(seed=0.5),
+        dict(learning_rate="0.1"),
+        dict(eps="1e-8"),
+        dict(stop_threshold="x"),
+        dict(stop_threshold=None),
     ])
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -272,6 +276,7 @@ class TestConfigValidation:
         cfg = tr.TrainConfig(betas=[0.0, 0.0], batch_size=np.int64(1), seed=0)
         assert cfg.betas == (0.0, 0.0)
         assert tr.TrainConfig(betas=(np.float64(0.5), 0.25)).betas == (0.5, 0.25)
+        tr.TrainConfig(learning_rate=1, eps=np.float64(1e-6), stop_threshold=np.float32(0.5))
 
 
 def reference_fine_tune(model, selected, train, valid, cfg):
