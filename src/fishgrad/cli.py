@@ -235,7 +235,8 @@ def _cmd_grid(args) -> int:
     model_cfg = _load_json_arg(args.model_config)
     probe = _model_for_data(model_cfg, dataset, args.seed)
     cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), args.seed))
-    result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg)
+    result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg,
+                              max_workers=args.threads)
     config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
               "valid_fraction": args.valid_fraction,
               "train": cfg.train.__dict__ | {"betas": list(cfg.train.betas)}}
@@ -348,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--valid-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; the grid runs serially")
+                   help="worker processes for the fine-tunes (at most one per core)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_grid)
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, asdict, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -288,9 +288,10 @@ class MLP(Model):
         return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
 
     def layer_input(self, X, k: int) -> np.ndarray:
-        """The input of dense layer ``k`` for each row of ``X``: layers
-        0..k-1 run untaped, with the arithmetic of ``DensePass``."""
-        a = self._check_inputs(X)
+        """The input of dense layer ``k`` for each row of ``X``, or of each row
+        set of a (jobs, rows, features) stack: ``DensePass``'s layers 0..k-1."""
+        X = np.asarray(X, dtype=np.float64)
+        a = self._check_inputs(X.reshape(-1, X.shape[-1]) if X.ndim == 3 else X).reshape(X.shape)
         for i in range(k):
             a = _dense_layer(a, self.params.view(f"W{i}"), self.params.view(f"b{i}"),
                              self.spec.activation)
@@ -491,9 +492,14 @@ class DensePass:
 
     @cached_property
     def log_probs(self) -> np.ndarray:
-        """Log-softmax of a classifier's logits, as the tape computes it."""
-        shifted = self.output - self.output.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        """Log-softmax of a classifier's logits, as the tape computes it. The
+        max, and below 8 classes the sum, run class by class: faster on a short
+        class axis, and the same bytes, as numpy adds under 8 terms in order."""
+        out, classes = self.output, self.output.shape[-1]
+        shifted = out - reduce(np.maximum, [out[..., c] for c in range(classes)])[..., None]
+        exp = np.exp(shifted)
+        total = exp.sum(axis=-1) if classes >= 8 else sum(exp[..., c] for c in range(classes))
+        return shifted - np.log(total)[..., None]
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -540,10 +546,12 @@ class DensePass:
             y = self.model._check_labels(y)
             if y.shape != self.output.shape[:-1]:
                 raise ad.ShapeMismatch("nll", f"{self.output.shape[:-1]} rows vs {y.shape} targets")
-            at_label = y[..., None] == np.arange(self.output.shape[-1])
-            value = -self.log_probs[at_label].reshape(y.shape).sum(axis=-1) / m
-            gl = np.where(at_label, -1.0 / m, 0.0)
-            delta = gl - self.probs * gl.sum(axis=-1, keepdims=True)
+            # The tape's delta, g - p * sum(g) with g = -1/m at the label, is
+            # p / m less 1/m at the label, byte for byte: sum(g) is -1/m.
+            at_label = np.arange(y.size) * self.output.shape[-1] + y.reshape(-1)
+            value = -self.log_probs.reshape(-1)[at_label].reshape(y.shape).sum(axis=-1) / m
+            delta = self.probs * (1.0 / m)
+            delta.reshape(-1)[at_label] -= 1.0 / m
         else:
             y = np.asarray(y, dtype=np.float64)
             if y.shape != self.output.shape[:-1]:
@@ -555,8 +563,8 @@ class DensePass:
         grad = np.zeros(value.shape + (len(params),), dtype=np.float64)
         for i, d in self._backward(delta):
             w, b = (params.segment(name) for name in self._names[i])
-            grad[..., w.offset:w.offset + w.length] = (
-                np.swapaxes(self._inputs[i], -1, -2) @ d).reshape(*value.shape, w.length)
+            out = grad[..., w.offset:w.offset + w.length].reshape(*value.shape, -1, d.shape[-1])
+            np.matmul(np.swapaxes(self._inputs[i], -1, -2), d, out=out)
             grad[..., b.offset:b.offset + b.length] = d.sum(axis=-2)
         return value, grad
 

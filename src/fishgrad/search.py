@@ -22,8 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import takewhile
+import os
+import pickle
+import signal
+import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import accumulate, groupby, takewhile
 
 import numpy as np
 
@@ -118,26 +123,29 @@ def _score_from_json(value) -> float:
     return float("nan") if value is None else float(value)
 
 
-def _fine_tune(initial_model, plan, train_ds, valid_ds, cfg: IRDConfig) -> None:
-    """Fine-tune a fresh copy of the initial model for each planned job,
-    (mask, fit ids or None for all training rows, train seed), jobs on the
-    same rows as one group, and set its target's score and status: ``ok``,
-    or NaN with ``diverged`` (including a non-finite score) or ``undefined``
-    (the metric has no value on its predictions), so a search goes on."""
-    by_rows: dict = {}
-    for job, target in plan:
-        by_rows.setdefault(None if job[1] is None else job[1].tobytes(), []).append((job, target))
-    for group in by_rows.values():
-        fit_ids = group[0][0][1]
+def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, str]]:
+    """Fine-tune a fresh copy of the model of each planned job, (model, (mask,
+    fit ids or None for all rows, train seed), target), a group at a time; set
+    and return each target's score and status: ``ok``, or NaN with ``diverged``
+    (a non-finite score too) or ``undefined`` (no metric on its predictions)."""
+    for group in _groups(plan):
+        model, (_, fit_ids, _), _ = group[0]
         outcomes = tr.train_group(
-            [initial_model.clone() for _ in group], [mask for (mask, _, _), _ in group],
+            [model.clone() for _ in group], [mask for _, (mask, _, _), _ in group],
             train_ds if fit_ids is None else train_ds.subset(fit_ids), valid_ds,
-            [replace(cfg.train, seed=seed) for (_, _, seed), _ in group])
-        for (_, target), outcome in zip(group, outcomes):
+            [replace(cfg.train, seed=seed) for _, (_, _, seed), _ in group])
+        for (_, _, target), outcome in zip(group, outcomes):
             target.score = math.nan
             target.status = "undefined" if isinstance(outcome, UndefinedMetric) else "diverged"
             if isinstance(outcome, tr.TrainReport) and math.isfinite(outcome.val_metrics[-1]):
                 target.score, target.status = outcome.val_metrics[-1], "ok"
+    return [(target.score, target.status) for _, _, target in plan]
+
+
+def _groups(plan) -> list[list]:
+    """Runs of planned jobs of one model on the same rows: one group each."""
+    return [list(run) for _, run in groupby(plan, key=lambda job: (
+        id(job[0]), None if job[1][1] is None else job[1][1].tobytes()))]
 
 
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
@@ -157,7 +165,7 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     cfg = cfg or IRDConfig()
     trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg, inverse,
                               sample_targets, mask_targets)
-    _fine_tune(model, plan, train_ds, valid_ds, cfg)
+    _fine_tune(plan, train_ds, valid_ds, cfg)
     return trace
 
 
@@ -212,8 +220,8 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
         trace.records.append(TraceRecord(iteration, PHASE_PARAMS, math.nan, mask, subset))
-    return trace, [((r.mask, r.subset.ids if cfg.train_on_subset else None,
-                     _derive_seed(cfg.seed, r.iteration, r.phase == PHASE_PARAMS)), r)
+    return trace, [(model, (r.mask, r.subset.ids if cfg.train_on_subset else None,
+                            _derive_seed(cfg.seed, r.iteration, r.phase == PHASE_PARAMS)), r)
                    for r in trace.records]
 
 
@@ -374,11 +382,9 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     cell's score is its fine-tune's last validation reading on
     ``cfg.train.metric``. Cell RNG derives from (master seed, cell
     coordinates), making results independent of execution order. Every
-    seed's cells and trace are planned before any fine-tune runs, so a bad
-    schedule raises first; then each seed's fine-tunes run in groups
-    (``training.train_group``) on the calling thread: under the interpreter
-    lock a thread pool ran slower than one thread. ``max_workers`` is
-    accepted for compatibility and ignored.
+    seed's cells and trace are planned, and all scoring done, here before any
+    fine-tune runs, so a bad schedule raises first; the fine-tunes then run
+    in up to ``max_workers`` processes, with the same results for any count.
 
     A model is built once per master seed from ``model_spec`` (with a
     derived init seed); pass ``initial_model`` instead to start every seed
@@ -387,18 +393,20 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     cfg = cfg or IRDConfig()
     if (model_spec is None) == (initial_model is None):
         raise ValueError("provide exactly one of model_spec / initial_model")
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     plans = []
     for seed in spec.seeds:
         model = initial_model if initial_model is not None else mz.build(
             replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
-        plans.append((seed, model, *_plan_seed(spec, task, model, cfg, seed)))
+        plans.append((seed, *_plan_seed(spec, task, model, cfg, seed)))
+    _fine_tune_chunks([job for _, plan, _ in plans for job in plan], task, cfg, max_workers)
     cells, traces = [], []
-    for seed, model, plan, trace in plans:
-        _fine_tune(model, plan, task.train, task.valid, cfg)
+    for seed, plan, trace in plans:
         if trace is None:
-            cells += [cell for _, cell in plan]
+            cells += [cell for *_, cell in plan]
             continue
-        cells.append(plan[0][1])
+        cells.append(plan[0][-1])
         cells += [GridCell(spec.sparsity_levels[r.iteration + (r.phase == PHASE_PARAMS)],
                            spec.sample_levels[r.iteration + 1], seed, r.score, r.status)
                   for r in trace.records]
@@ -406,10 +414,76 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     return GridResult(spec, cells, traces)
 
 
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _fine_tune_chunks(plan, task: Task, cfg: IRDConfig, max_workers: int) -> None:
+    """Run the planned jobs (see ``_fine_tune``) in up to one contiguous chunk
+    of whole groups per worker and usable core, the first here and each other
+    in a forked child (``_fork``), and set each target's score and status.
+    On Linux before Python 3.12, which warns on a fork with threads (BLAS's)."""
+    groups = _groups(plan)
+    forks = hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
+    workers = max(1, min(max_workers, _usable_cores(), len(groups))) if forks else 1
+    starts = list(accumulate([0] + [len(group) for group in groups]))
+    cuts = sorted({min(starts, key=lambda s: abs(workers * s - i * len(plan)))
+                   for i in range(workers + 1)})  # the group starts nearest even cuts
+    chunks = [plan[a:b] for a, b in zip(cuts, cuts[1:])] or [[]]
+    children, results = [], []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork(partial(_fine_tune, chunk, task.train, task.valid, cfg)))
+        results.append(_fine_tune(chunks[0], task.train, task.valid, cfg))
+        for pid, read_fd in children:
+            data = b"".join(iter(partial(os.read, read_fd, 1 << 16), b""))
+            value = pickle.loads(data) if data else RuntimeError(
+                f"fine-tune worker {pid} exited without a result")
+            if isinstance(value, BaseException):
+                raise value
+            results.append(value)
+    finally:
+        for pid, read_fd in children:
+            if len(results) < len(chunks):  # a chunk failed: stop the rest
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    for (_, _, target), (score, status) in zip(plan, sum(results, [])):
+        target.score, target.status = score, status
+
+
+def _fork(work) -> tuple[int, int]:
+    """The pid and pipe read end of a forked child that runs ``work``, pipes
+    back its result or exception, pickled, and ends in ``os._exit``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        try:
+            payload = pickle.dumps(work())
+        except BaseException as exc:  # noqa: BLE001 - the caller raises it again
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:  # noqa: BLE001 - it does not load back
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
 def _plan_cell(spec, task, model, cfg, seed, ri, ci):
     ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
     mask = top_k_mask(empirical_fisher(model, task.train, ids), sparsity=spec.sparsity_levels[ri])
-    return ((mask, ids if cfg.train_on_subset else None, _derive_seed(seed, ri, ci, 1)),
+    return (model, (mask, ids if cfg.train_on_subset else None, _derive_seed(seed, ri, ci, 1)),
             GridCell(spec.sparsity_levels[ri], spec.sample_levels[ci], seed, math.nan))
 
 
@@ -464,29 +538,16 @@ def compare_grids(baseline: GridResult, candidate: GridResult) -> CellComparison
     if (a_spec.sparsity_levels != b_spec.sparsity_levels
             or a_spec.sample_levels != b_spec.sample_levels):
         raise ValueError("grid axes differ; nothing cell-comparable")
-    a = baseline.cell_matrix()
-    b = candidate.cell_matrix()
-    symbols: list[list[str | None]] = []
-    ups = downs = ties = 0
-    for i in range(a.shape[0]):
-        row: list[str | None] = []
-        for j in range(a.shape[1]):
-            if not (math.isfinite(a[i, j]) and math.isfinite(b[i, j])):
-                row.append(None)
-                continue
-            av, bv = round(a[i, j], 4), round(b[i, j], 4)
-            if bv > av:
-                row.append("up")
-                ups += 1
-            elif bv < av:
-                row.append("down")
-                downs += 1
-            else:
-                row.append("tie")
-                ties += 1
-        symbols.append(row)
-    return CellComparison(a_spec.sparsity_levels, a_spec.sample_levels,
-                          symbols, ups, downs, ties)
+    def direction(av, bv):
+        if not (math.isfinite(av) and math.isfinite(bv)):
+            return None
+        return "up" if bv > av else "down" if bv < av else "tie"
+
+    a, b = baseline.cell_matrix().round(4), candidate.cell_matrix().round(4)
+    symbols = [[direction(av, bv) for av, bv in zip(ra, rb)] for ra, rb in zip(a, b)]
+    flat = [symbol for row in symbols for symbol in row]
+    return CellComparison(a_spec.sparsity_levels, a_spec.sample_levels, symbols,
+                          flat.count("up"), flat.count("down"), flat.count("tie"))
 
 
 def save_grid(result: GridResult, path, manifest: dict | None = None) -> None:

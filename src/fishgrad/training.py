@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -179,28 +180,16 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
     return rows
 
 
-def _stacked_pass_agrees(model, k, head, block, train_ds, ids, x, step, values, grads) -> bool:
-    """Whether each job's slice of a stacked step equals, byte for byte, the
-    job's frozen layers run on its own rows and its head run alone."""
-    for j, params in enumerate(block):
-        own_x = model.layer_input(train_ds.inputs[ids[j]], k)
-        own = mz.DensePass(head, own_x, params)
-        value, grad = own.loss_gradient(train_ds.labels[ids[j]])
-        pairs = [(own_x, x[j]), (own.output, step.output[j]), (value, values[j]), (grad, grads[j])]
-        if any(a.tobytes() != b.tobytes() for a, b in pairs):
-            return False
-    return True
-
-
 def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
     """The fine-tune loop. Job j steps coordinates ``sel[j]`` of row j of
     ``block`` (jobs, parameters), the trailing parameters of ``models[j]``;
     configs differ at most in the seed. ``step(ids, block, check)`` gives
     each live job's loss and gradient on its training rows ``ids`` (jobs,
     batch), or (None, None) if ``check`` (the first batch) fails, and
-    ``read(params)`` a job's validation reading. Returns each job's outcome,
-    or None after a failed check. A job leaves, its parameters written back,
-    when it stops early, diverges or reads an undefined metric."""
+    ``read(params)`` one thunk per row of a (jobs, parameters) block that
+    gives the job's validation reading. Returns each job's outcome, or None
+    after a failed check. A job leaves, its parameters written back, when it
+    stops early, diverges or reads an undefined metric."""
     cfg, n, size = cfgs[0], len(train_ds), cfgs[0].batch_size
     offset = models[0].num_params - block.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -210,7 +199,7 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
 
     def leave(done: dict) -> np.ndarray:
         """Retire each job in ``done`` (to its error, or stopped early or not)."""
-        nonlocal block
+        nonlocal block, flat
         keep = np.array([j not in done for j in live], dtype=bool)
         for row in np.flatnonzero(~keep):
             j = live[row]
@@ -219,9 +208,10 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
                 len(losses[j]), losses[j], readings[j], done[j], models[j].content_hash())
         coords = np.repeat(keep, [len(sel[j]) for j in live])
         state.m, state.v = state.m[coords], state.v[coords]
-        block, live[:] = block[keep], [j for j in live if j not in done]
+        block, live[:], flat = block[keep], [j for j in live if j not in done], None
         return keep
 
+    flat = None  # each live job's selected coordinates in the flattened block
     for epoch in range(cfg.max_epochs):
         perms = np.stack([rngs[j].permutation(n) for j in live])
         batch_losses = np.empty((len(live), -(-n // size)))
@@ -237,7 +227,8 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
                     return outcomes
                 perms, values, grads, batch_losses = (
                     perms[keep], values[keep], grads[keep], batch_losses[keep])
-            flat = np.concatenate([row * block.shape[1] + sel[j] for row, j in enumerate(live)])
+            if flat is None:
+                flat = np.concatenate([row * block.shape[1] + sel[j] for row, j in enumerate(live)])
             if cfg.optimizer == "sgd":
                 sgd_step(block.reshape(-1), grads.reshape(-1), cfg.learning_rate, flat)
             else:
@@ -251,10 +242,12 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
             if not np.isfinite(updated).all():
                 done[j] = TrainingDiverged(epoch + 1, batch_losses.shape[1],
                                            updated[~np.isfinite(updated)][0], "parameters")
-                continue
+        readable = [row for row, j in enumerate(live) if j not in done]
+        for row, reading in zip(readable, read(block[readable])):
+            j = live[row]
             losses[j].append(float(np.mean(batch_losses[row])))
             try:
-                readings[j].append(read(block[row]))
+                readings[j].append(reading())
             except met.UndefinedMetric as exc:
                 done[j] = exc
                 continue
@@ -273,9 +266,11 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
     step their heads as a (jobs, head parameters) block in ``_run_jobs``.
     The frozen layers run once per split; a step gathers each live job's
     own batch into a (jobs, batch, width) input and runs ``DensePass`` over
-    the block. The first full batch is checked byte for byte against each
-    job run alone: a sample that relies on the kernels treating every full
-    batch of the group as they treat the first."""
+    the block (a short batch runs the frozen layers on the stacked rows).
+    The first full batch is checked byte for byte against each job run
+    alone: a sample that relies on the kernels treating every full batch of
+    the group as they treat the first. If the cached frozen rows differ
+    there, every batch runs the frozen layers itself."""
     model, n, size = models[0], len(train_ds), cfgs[0].batch_size
     head = model.head(k)
     offset = model.num_params - head.num_params
@@ -283,18 +278,26 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
     valid_rows = model.layer_input(valid_ds.inputs, k)
 
     def step(ids, block, check):
-        x = rows[ids] if ids.shape[1] == min(size, n) else np.stack(
-            [model.layer_input(train_ds.inputs[i], k) for i in ids])
+        nonlocal rows
+        cached = rows is not None and ids.shape[1] == min(size, n)
+        x = rows[ids] if cached else model.layer_input(train_ds.inputs[ids], k)
+        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else ()
+        if cached and any(a.tobytes() != b.tobytes() for a, b in zip(own_x, x)):
+            rows, x = None, model.layer_input(train_ds.inputs[ids], k)  # per batch from now
         out = mz.DensePass(head, x, block)
         values, grads = out.loss_gradient(train_ds.labels[ids])
-        if check and not _stacked_pass_agrees(model, k, head, block, train_ds, ids, x, out,
-                                              values, grads):
-            return None, None
+        for j, params in enumerate(block if check else ()):  # each job's pass run alone
+            own = mz.DensePass(head, own_x[j], params)
+            value, grad = own.loss_gradient(train_ds.labels[ids[j]])
+            pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
+                     (grad, grads[j])]
+            if any(a.tobytes() != b.tobytes() for a, b in pairs):
+                return None, None
         return values, grads
 
     def read(params):
         preds = np.argmax(mz.DensePass(head, valid_rows, params).output, axis=-1)
-        return met.evaluate(metric, preds, valid_ds.labels)
+        return [partial(met.evaluate, metric, p, valid_ds.labels) for p in preds]
 
     return _run_jobs(models, [s - offset for s in selections],
                      np.stack([m.params.data[offset:] for m in models]), train_ds, cfgs,
@@ -309,7 +312,7 @@ def _train_model(model, selected, train_ds, valid_ds, cfg, metric: str):
         return np.array([value]), grad[None]
 
     return _run_jobs([model], [selected], model.params.data[None], train_ds, [cfg], step,
-                     lambda params: met.score(metric, model, valid_ds))[0]
+                     lambda params: [partial(met.score, metric, model, valid_ds)])[0]
 
 
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:

@@ -111,16 +111,20 @@ DENSE_SPECS = [
     mz.ModelSpec("mlp", input_dim=5, hidden=(7, 6), num_classes=3, seed=3,
                  activation="relu"),
     mz.ModelSpec("linear_regressor", input_dim=7, num_classes=0, seed=4),
+    mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=2, seed=5),
+    # DensePass sums fewer than 8 classes one by one, and more with numpy.
+    mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=10, seed=6),
 ]
+DENSE_IDS = ["logreg", "mlp-tanh", "mlp-relu-2-hidden", "linear_regressor", "mlp-two-class",
+             "mlp-ten-class"]
 
 
 class TestDensePassMatchesTape:
     """The untaped dense path gives the tape's loss, gradient and outputs
     byte for byte."""
 
-    @pytest.mark.parametrize("n", [1, 32])
-    @pytest.mark.parametrize("spec", DENSE_SPECS,
-                             ids=["logreg", "mlp-tanh", "mlp-relu-2-hidden", "linear_regressor"])
+    @pytest.mark.parametrize("n", [1, 7, 32])  # 1/7 is inexact
+    @pytest.mark.parametrize("spec", DENSE_SPECS, ids=DENSE_IDS)
     def test_loss_gradient_and_predictions(self, spec, n):
         model = mz.build(spec)
         rng = np.random.default_rng(n)
@@ -146,6 +150,24 @@ class TestDensePassMatchesTape:
         got = model.predictions(X)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", DENSE_SPECS, ids=DENSE_IDS)
+    def test_each_stacked_job_equals_its_own_pass(self, spec):
+        """With a leading job axis, each job's loss and gradient are those of
+        its own pass, byte for byte."""
+        model = mz.build(spec)
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(3, 7, spec.input_dim))
+        if spec.kind == "linear_regressor":
+            y = rng.normal(size=(3, 7))
+        else:
+            y = rng.integers(0, spec.num_classes, size=(3, 7))
+        block = model.params.data + rng.normal(scale=0.1, size=(3, model.num_params))
+        values, grads = mz.DensePass(model, X, block).loss_gradient(y)
+        for j in range(3):
+            value, grad = mz.DensePass(model, X[j], block[j]).loss_gradient(y[j])
+            assert value.tobytes() == values[j].tobytes()
+            assert grad.tobytes() == grads[j].tobytes()
 
     def test_label_count_checked(self):
         model = mz.build(DENSE_SPECS[0])

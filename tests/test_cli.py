@@ -257,8 +257,9 @@ class TestManifest:
         from fishgrad import __version__
         assert manifest["tool_version"] == __version__
 
-    def test_thread_env_cap_preserves_results(self, workspace, capsys, monkeypatch):
-        """FISHGRAD_THREADS caps the pool without changing any score."""
+    def test_thread_env_cap_preserves_results(self, workspace, capsys):
+        """--threads changes no score: one process and worker processes
+        (one per core, up to 8) write the same result."""
         w = workspace
         cli.main(["gen-data", "--n", "80", "--dims", "4", "--noise", "0.4",
                   "--seed", "1", "--out", str(w / "d.jsonl")])
@@ -267,12 +268,11 @@ class TestManifest:
                 "--mode", "fish", "--sparsity-levels", "0.3,0.1",
                 "--sample-levels", "8,2", "--seeds", "0,1",
                 "--config", '{"learning_rate": 0.1, "max_epochs": 2}']
-        cli.main(argv + ["--threads", "1", "--out", str(w / "serial.json")])
-        monkeypatch.setenv("FISHGRAD_THREADS", "2")
-        cli.main(argv + ["--threads", "8", "--out", str(w / "capped.json")])
+        assert cli.main(argv + ["--threads", "1", "--out", str(w / "serial.json")]) == 0
+        assert cli.main(argv + ["--threads", "8", "--out", str(w / "pooled.json")]) == 0
         serial = json.loads((w / "serial.json").read_text())["result"]
-        capped = json.loads((w / "capped.json").read_text())["result"]
-        assert serial == capped
+        pooled = json.loads((w / "pooled.json").read_text())["result"]
+        assert serial == pooled
 
     def test_failed_write_keeps_previous_output(self, workspace, monkeypatch):
         """A write that raises midway leaves the old file whole and no

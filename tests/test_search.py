@@ -1,6 +1,11 @@
 """Halving-search mechanics: trace laws, nesting, complementarity, grids."""
 
 import math
+import os
+import sys
+import threading
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +16,12 @@ from fishgrad import metrics as met
 from fishgrad import models as mz
 from fishgrad import search as sr
 from fishgrad import training as tr
+
+
+# Python 3.12 and later run a grid's fine-tunes serially: forking a process
+# with a BLAS thread pool warns there.
+FORKS = pytest.mark.skipif(sys.version_info >= (3, 12) or not os.path.isdir("/proc/self/fd"),
+                           reason="fine-tunes fork only before Python 3.12; fds read on Linux")
 
 
 def quick_cfg(seed=0, epochs=2):
@@ -375,34 +386,94 @@ class TestRunGrid:
         assert len(metrics_used) == sum(epochs)
         assert [c.score for c in result.cells] == last_readings
 
-    def test_thread_pool_matches_serial(self, blob_splits):
+    def test_thread_pool_matches_serial(self, blob_splits, monkeypatch):
+        """Any worker count gives the serial grid, in every mode, fine-tuning
+        on all rows or on the subsets: groups fine-tune in forked workers as
+        they do in one process."""
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
         train, valid = blob_splits
-        spec = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1))
-        model_spec = mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0)
-        serial = sr.run_grid(spec, sr.Task(train, valid), model_spec, quick_cfg())
-        pooled = sr.run_grid(spec, sr.Task(train, valid), model_spec, quick_cfg(),
-                             max_workers=4)
-        assert serial.to_json() == pooled.to_json()
+        model_spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=3, seed=0)
+        for mode in sr.MODES:
+            for on_subset in (False, True):
+                spec = sr.GridSpec((0.4, 0.2), (16, 4), mode, (0, 1))
+                cfg = replace(quick_cfg(), train_on_subset=on_subset)
+                grids = [sr.run_grid(spec, sr.Task(train, valid), model_spec, cfg,
+                                     max_workers=workers).to_json() for workers in (1, 2, 3, 4)]
+                assert all(grid == grids[0] for grid in grids[1:]), (mode, on_subset)
 
-    def test_grid_trains_on_calling_thread(self, blob_splits, monkeypatch):
-        """max_workers starts no threads: every fine-tune runs on the caller."""
-        import threading
+    @staticmethod
+    def process_state():
+        """Open fds, live threads, and whether this process has a child left."""
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            child = True
+        except ChildProcessError:
+            child = False
+        return len(os.listdir("/proc/self/fd")), threading.active_count(), child
+
+    @FORKS
+    def test_grid_fine_tunes_in_forked_workers(self, blob_splits, monkeypatch, tmp_path):
+        """max_workers=4 runs six one-job groups in four processes, the
+        caller's and three forked ones, but never splits a group: two seeds'
+        groups of three run in two. No child, thread or fd is left behind."""
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
         train, valid = blob_splits
-        threads = []
         real = tr.train_group
 
         def spy(*args, **kwargs):
-            outcomes = real(*args, **kwargs)
-            threads.extend([threading.get_ident()] * len(outcomes))
-            return outcomes
+            with open(tmp_path / "pids", "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        def pids(cfg, max_workers=4):
+            (tmp_path / "pids").write_text("")
+            sr.run_grid(sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1)),
+                        sr.Task(train, valid),
+                        mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0), cfg,
+                        max_workers=max_workers)
+            return set((tmp_path / "pids").read_text().split())
 
         monkeypatch.setattr(tr, "train_group", spy)
-        spec = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1))
-        sr.run_grid(spec, sr.Task(train, valid),
-                    mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
-                    quick_cfg(), max_workers=4)
-        assert len(threads) == 6
-        assert set(threads) == {threading.get_ident()}
+        before = self.process_state()
+        on_subsets = pids(replace(quick_cfg(), train_on_subset=True))
+        assert len(on_subsets) == 4 and str(os.getpid()) in on_subsets
+        assert len(pids(quick_cfg())) == 2
+        assert self.process_state() == before == before[:2] + (False,)
+        # Python 3.12 and later warn on a fork with threads: the chunks run here.
+        monkeypatch.setattr(sr, "sys", SimpleNamespace(version_info=(3, 12, 0)))
+        assert pids(replace(quick_cfg(), train_on_subset=True)) == {str(os.getpid())}
+        with pytest.raises(ValueError, match="max_workers"):
+            pids(quick_cfg(), max_workers=0)
+
+    @FORKS
+    @pytest.mark.parametrize("failure,error,match", [
+        ("raises", OverflowError, "in a worker"),
+        ("dies", RuntimeError, "exited without a result"),
+    ])
+    def test_a_failing_worker_fails_the_grid(self, blob_splits, monkeypatch, failure, error,
+                                             match):
+        """A worker's exception is raised again in the caller, as its own
+        type; a worker that dies without a reply raises RuntimeError. Either
+        way every child is reaped and every pipe closed."""
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
+        train, valid = blob_splits
+        caller, real = os.getpid(), tr.train_group
+
+        def spy(*args, **kwargs):
+            if os.getpid() != caller:
+                if failure == "dies":
+                    os._exit(3)
+                raise OverflowError("in a worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "train_group", spy)
+        spec = sr.GridSpec((0.4, 0.2), (16, 4), "ird", (0, 1))
+        before = self.process_state()
+        with pytest.raises(error, match=match):
+            sr.run_grid(spec, sr.Task(train, valid),
+                        mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
+                        quick_cfg(), max_workers=2)
+        assert self.process_state() == before
 
     def test_seeds_in_one_grid_equal_seeds_apart(self, monkeypatch):
         """Fine-tunes group per master seed: a grid over seeds (0, 1) gives

@@ -679,9 +679,10 @@ class TestGroupLoop:
 
     @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
     def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
-        """With the cached frozen rows, or the stacked step's gradient, one
-        ulp off, the group fails the check and every job runs straight
-        through the full-model step, with no group-of-one retry."""
+        """With the stacked step's gradient one ulp off, the group fails the
+        check and every job runs straight through the full-model step, with
+        no group-of-one retry. With only the cached frozen rows one ulp off,
+        the group recomputes them for every batch and stays stacked."""
         if broken == "frozen rows":
             real_rows = tr._frozen_rows
             monkeypatch.setattr(tr, "_frozen_rows",
@@ -700,4 +701,4 @@ class TestGroupLoop:
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
                                    cfgs)
-        assert groups == [(3, False)]
+        assert groups == [(3, broken == "frozen rows")]
