@@ -17,9 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from . import __version__
 from . import data as dio
@@ -106,7 +104,6 @@ def _model_for_data(config: dict, dataset: dio.Dataset, seed: int | None) -> mz.
     cfg.setdefault("input_dim", dataset.dim)
     if seed is not None:
         cfg.setdefault("seed", seed)
-    cfg["hidden"] = tuple(cfg.get("hidden", ()))
     return mz.build(mz.ModelSpec(**cfg))
 
 
@@ -143,7 +140,7 @@ def _cmd_fisher(args) -> int:
     model = _resolve_model(args, dataset)
     seed = args.seed if args.seed is not None else 0
     n = args.samples if args.samples else len(dataset)
-    ids = np.sort(np.random.default_rng(seed).choice(len(dataset), size=n, replace=False))
+    ids = ird_mod._draw_ids(len(dataset), n, seed)
     estimator = fi.expectation_fisher if args.expectation else fi.empirical_fisher
     diag = estimator(model, dataset, ids)
     config = {"samples": n, "expectation": args.expectation,
@@ -183,8 +180,7 @@ def _cmd_train(args) -> int:
     cfg = _train_config(_load_json_arg(args.config), args.seed)
     train_ds, valid_ds = _split(dataset, args)
     result = tr.train_masked(model, mask, train_ds, valid_ds, cfg)
-    config = {"train": cfg.__dict__ | {"betas": list(cfg.betas)},
-              "valid_fraction": args.valid_fraction,
+    config = {"train": asdict(cfg), "valid_fraction": args.valid_fraction,
               "model_spec": model.spec.to_dict()}
     inputs = {"data": args.data}
     if args.mask:
@@ -202,8 +198,7 @@ def _cmd_ird(args) -> int:
     model = _resolve_model(args, dataset)
     seed = args.seed if args.seed is not None else 0
     train_ds, valid_ds = _split(dataset, args)
-    x0 = np.sort(np.random.default_rng(seed).choice(len(train_ds), size=args.samples,
-                                                    replace=False))
+    x0 = ird_mod._draw_ids(len(train_ds), args.samples, seed)
     cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), seed),
                             seed=seed)
     trace = ird_mod.ird(model, train_ds, valid_ds, x0,
@@ -238,8 +233,7 @@ def _cmd_grid(args) -> int:
     result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg,
                               max_workers=args.threads)
     config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
-              "valid_fraction": args.valid_fraction,
-              "train": cfg.train.__dict__ | {"betas": list(cfg.train.betas)}}
+              "valid_fraction": args.valid_fraction, "train": asdict(cfg.train)}
     manifest = _manifest("grid", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, result.to_json(), started)
     return 0

@@ -277,6 +277,9 @@ def load(path, format: str | None = None, dim: int = 2048, seed: int = 0) -> Dat
                 continue  # embedded provenance row from the CLI
             if "features" in row:
                 rows_feat.append([float(v) for v in row["features"]])
+                if len(rows_feat[-1]) != len(rows_feat[0]):
+                    raise ValueError(f"{path}: line {lineno}: {len(rows_feat[-1])} features, "
+                                     f"the first row has {len(rows_feat[0])}")
             elif "text1" in row:
                 rows_text.append((str(row["text1"]), str(row.get("text2", ""))))
             else:
@@ -293,11 +296,7 @@ def load(path, format: str | None = None, dim: int = 2048, seed: int = 0) -> Dat
         feats = np.stack([featurize_text(join_pair(a, b), dim, seed)
                           for a, b in rows_text])
         return Dataset(feats, labels, task, num_classes, texts=rows_text)
-    feats = np.asarray(rows_feat, dtype=np.float64)
-    widths = {len(r) for r in rows_feat}
-    if len(widths) > 1:
-        raise ValueError(f"{path}: inconsistent feature widths {sorted(widths)}")
-    return Dataset(feats, labels, task, num_classes)
+    return Dataset(np.asarray(rows_feat, dtype=np.float64), labels, task, num_classes)
 
 
 def save(dataset: Dataset, path, format: str = "jsonl", manifest: dict | None = None) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -45,12 +45,10 @@ class ParamVector:
 
     Segments partition [0, len) with no gaps or overlaps; the flat-index to
     (segment, position) mapping is a stable bijection for the life of the
-    model. ``data`` is storage to use in place of fresh zeros, such as a view
-    of another vector's tail.
+    model.
     """
 
-    def __init__(self, layout: list[tuple[str, tuple[int, ...]]],
-                 data: np.ndarray | None = None):
+    def __init__(self, layout: list[tuple[str, tuple[int, ...]]]):
         self.segments: list[Segment] = []
         offset = 0
         seen = set()
@@ -61,9 +59,7 @@ class ParamVector:
             seg = Segment(name, offset, shape)
             self.segments.append(seg)
             offset += seg.length
-        if data is not None and data.shape != (offset,):
-            raise ValueError(f"layout needs {offset} values, storage has {data.shape}")
-        self.data = np.zeros(offset, dtype=np.float64) if data is None else data
+        self.data = np.zeros(offset, dtype=np.float64)
         self._by_name = {s.name: s for s in self.segments}
 
     def __len__(self) -> int:
@@ -116,6 +112,9 @@ class ModelSpec:
     max_len: int = 16
     activation: str = "tanh"  # mlp / attention FFN nonlinearity
 
+    def __post_init__(self):  # a list of widths, as JSON gives, kept hashable
+        object.__setattr__(self, "hidden", tuple(self.hidden))
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["hidden"] = list(self.hidden)
@@ -123,8 +122,6 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["hidden"] = tuple(d.get("hidden", ()))
         return ModelSpec(**d)
 
 
@@ -228,8 +225,18 @@ class Model:
         return ad.log_softmax(logits).data[0]
 
     def predictions(self, X) -> np.ndarray:
-        """Argmax class per row; ties resolve to the lowest class index."""
-        return np.argmax(self.dense_pass(X).output, axis=1)
+        """``DensePass.predictions`` over ``X``."""
+        return self.dense_pass(X).predictions
+
+    def layer_input(self, X, k: int) -> np.ndarray:
+        """The input of dense layer ``k`` for each row of ``X``, or of each row
+        set of a (jobs, rows, features) stack: ``DensePass``'s layers 0..k-1
+        (the checked inputs, at k = 0)."""
+        X = np.asarray(X, dtype=np.float64)
+        a = self._check_inputs(X.reshape(-1, X.shape[-1]) if X.ndim == 3 else X).reshape(X.shape)
+        for w, b in self.dense_layers()[:k]:
+            a = _dense_layer(a, self.params.view(w), self.params.view(b), self.spec.activation)
+        return a
 
     def _check_inputs(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -286,29 +293,6 @@ class MLP(Model):
 
     def dense_layers(self):
         return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
-
-    def layer_input(self, X, k: int) -> np.ndarray:
-        """The input of dense layer ``k`` for each row of ``X``, or of each row
-        set of a (jobs, rows, features) stack: ``DensePass``'s layers 0..k-1."""
-        X = np.asarray(X, dtype=np.float64)
-        a = self._check_inputs(X.reshape(-1, X.shape[-1]) if X.ndim == 3 else X).reshape(X.shape)
-        for i in range(k):
-            a = _dense_layer(a, self.params.view(f"W{i}"), self.params.view(f"b{i}"),
-                             self.spec.activation)
-        return a
-
-    def head(self, k: int) -> "MLP":
-        """Layers k.. (k >= 1) as an MLP over layer k-1's activations.
-
-        The head's parameters are a view of this model's, so a step on the
-        head updates this model. Training runs it through ``DensePass``,
-        which does not check inputs: a non-finite activation flows on as in
-        the full model.
-        """
-        spec = replace(self.spec, input_dim=self.spec.hidden[k - 1],
-                       hidden=self.spec.hidden[k:])
-        offset = self.params.segment(f"W{k}").offset
-        return MLP(spec, ParamVector(MLP.layout(spec)[0], self.params.data[offset:]))
 
 
 class TinyAttention(Model):
@@ -427,9 +411,6 @@ class LinearRegressor(Model):
         pred = self._predict_tensor(tape, bound, self._check_inputs(X))
         return ad.mse(pred, np.asarray(y, dtype=np.float64))
 
-    def predictions(self, X) -> np.ndarray:
-        return self.dense_pass(X).output[:, 0]
-
 
 def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
                  activation: str | None) -> np.ndarray:
@@ -467,28 +448,41 @@ class DensePass:
     (``loss_gradient``). The arithmetic follows the tape's forward and
     backward rules op for op, so both match the tape byte for byte.
 
-    ``params`` may stack parameter vectors in a (jobs, parameters) block,
-    with ``X`` (jobs, rows, features): every array then gains a leading job
-    axis, as ``training`` uses to run several fine-tunes at once.
+    It runs layers ``start``.. over their input ``X`` with ``params``, the
+    parameters from layer ``start``'s weight on (the model's own by default).
+    ``params`` may stack such blocks in a (jobs, parameters) array, with ``X``
+    (jobs, rows, features): every array then gains a leading job axis, as
+    ``training`` uses to run several fine-tunes at once.
     """
 
-    def __init__(self, model: Model, X: np.ndarray, params: np.ndarray | None = None):
+    def __init__(self, model: Model, X: np.ndarray, params: np.ndarray | None = None,
+                 start: int = 0):
         self.model = model
-        self._names = names = model.dense_layers()
+        self._names = names = model.dense_layers()[start:]
         self._tanh = model.spec.activation == "tanh"
-        self._weights, self._inputs = [], []
-        params = model.params.data if params is None else params
+        self._weights, self._inputs, self._spans = [], [], []
+        segment = model.params.segment
+        base = segment(names[0][0]).offset
+        params = model.params.data[base:] if params is None else params
         lead = params.shape[:-1]
         a = X
         for i, (w, b) in enumerate(names):
-            w, b = model.params.segment(w), model.params.segment(b)
-            # The regressor's (d,) weight is one output column.
-            W = params[..., w.offset:w.offset + w.length].reshape(*lead, w.shape[0], b.length)
-            bias = params[..., b.offset:b.offset + b.length].reshape(*lead, 1, b.length)
+            w, b = segment(w), segment(b)
+            # Spans in the trailing block; the regressor's (d,) weight is one column.
+            wi, bi = w.offset - base, b.offset - base
+            self._spans.append((slice(wi, wi + w.length), slice(bi, bi + b.length)))
+            W = params[..., wi:wi + w.length].reshape(*lead, w.shape[0], b.length)
+            bias = params[..., bi:bi + b.length].reshape(*lead, 1, b.length)
             self._weights.append(W)
             self._inputs.append(a)
             a = _dense_layer(a, W, bias, model.spec.activation if i < len(names) - 1 else None)
         self.output = a
+
+    @property
+    def predictions(self) -> np.ndarray:
+        """Argmax class per row (ties to the lowest class index), or the
+        regressor's output."""
+        return np.argmax(self.output, axis=-1) if self.model.is_classifier else self.output[..., 0]
 
     @cached_property
     def log_probs(self) -> np.ndarray:
@@ -537,10 +531,10 @@ class DensePass:
                 for i, d in self._backward(delta)][::-1]
 
     def loss_gradient(self, y) -> tuple[float, np.ndarray]:
-        """(mean training loss, its flat gradient): cross-entropy for a
-        classifier, squared error for the regressor. Like the tape, it forms
-        no gradient toward the data matrix. Stacked, ``y`` and the loss are
-        per job."""
+        """(mean training loss, its gradient over the pass's parameter
+        block): cross-entropy for a classifier, squared error for the
+        regressor. Like the tape, it forms no gradient toward the data matrix.
+        Stacked, ``y`` and the loss are per job."""
         m = self.output.shape[-2]
         if self.model.is_classifier:
             y = self.model._check_labels(y)
@@ -559,13 +553,12 @@ class DensePass:
             diff = self.output[..., 0] - y
             value = (diff * diff).sum(axis=-1) / m
             delta = (2.0 * diff * (1.0 / m))[..., None]
-        params = self.model.params
-        grad = np.zeros(value.shape + (len(params),), dtype=np.float64)
+        grad = np.zeros(value.shape + (self._spans[-1][1].stop,), dtype=np.float64)
         for i, d in self._backward(delta):
-            w, b = (params.segment(name) for name in self._names[i])
-            out = grad[..., w.offset:w.offset + w.length].reshape(*value.shape, -1, d.shape[-1])
+            w, b = self._spans[i]
+            out = grad[..., w].reshape(*value.shape, -1, d.shape[-1])
             np.matmul(np.swapaxes(self._inputs[i], -1, -2), d, out=out)
-            grad[..., b.offset:b.offset + b.length] = d.sum(axis=-2)
+            grad[..., b] = d.sum(axis=-2)
         return value, grad
 
 
@@ -620,8 +613,11 @@ def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("format") != CHECKPOINT_FORMAT:
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as exc:  # a truncated or foreign header line
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
     if hashlib.sha256(payload).hexdigest() != header["hash"]:
         raise ValueError(f"checkpoint payload hash mismatch: {path}")

@@ -3,10 +3,10 @@
 Each batch gradient is projected onto the mask, so coordinates outside the
 mask are provably untouched (bit-identical before and after any run).
 Optimizer state is allocated only for masked indices. Every fine-tune runs
-in one loop (``_run_jobs``) with one of two step sources: jobs whose mask
-first reaches dense layer k > 0 freeze layers 0..k-1, run them once ahead of
-training and step their heads together as one stacked computation
-(``_train_heads``); any other job steps its whole model alone.
+in one loop (``_run_jobs``) with one of two step sources: on a model with
+dense layers, jobs run the layers below k, the first their masks reach, once
+ahead of training and step layers k.. together (``_train_heads``); on
+tiny_attention, a job steps its whole model on the tape (``_train_model``).
 The loss is fixed by the model head (negative log-likelihood for
 classifiers, mean squared error for regressors). ``TrainConfig.metric`` is
 the one validation metric: it is read after every epoch, early stopping
@@ -156,13 +156,13 @@ def _check_mask(model, mask: Mask | None) -> np.ndarray:
     return mask.selected
 
 
-def _first_trained_layer(model, selected: np.ndarray) -> int:
-    """Index of the first dense layer holding a selected coordinate; 0 for
-    dense training, an empty mask, or a model without dense layers."""
-    if len(selected) == 0:
-        return 0
-    starts = [model.params.segment(w).offset for w, _ in model.dense_layers()]
-    return max(int(np.searchsorted(starts, selected[0], side="right")) - 1, 0)
+def _first_trained_layer(model, selected: np.ndarray) -> tuple[int, int]:
+    """The first dense layer holding a selected coordinate (0 for dense
+    training, an empty mask, or a model without dense layers), and the
+    offset of its weight (0 without dense layers)."""
+    starts = [model.params.segment(w).offset for w, _ in model.dense_layers()] or [0]
+    k = len(selected) and max(int(np.searchsorted(starts, selected[0], side="right")) - 1, 0)
+    return k, starts[k]
 
 
 def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarray:
@@ -173,7 +173,7 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
     and, with some kernels, with the row's position in it: so a shorter batch
     runs the frozen layers itself, and ``_train_heads`` checks a full one."""
     n, m = len(inputs), min(batch_size, len(inputs))
-    rows = np.empty((n, model.spec.hidden[k - 1]))
+    rows = np.empty((n, model.params.segment(model.dense_layers()[k][0]).shape[0]))
     for start in range(0, n, batch_size):
         s = min(start, n - m)
         rows[s:s + m] = model.layer_input(inputs[s:s + m], k)
@@ -263,40 +263,42 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
 
 def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
     """The stacked step source: jobs whose equal layers 0..k-1 are frozen
-    step their heads as a (jobs, head parameters) block in ``_run_jobs``.
-    The frozen layers run once per split; a step gathers each live job's
-    own batch into a (jobs, batch, width) input and runs ``DensePass`` over
-    the block (a short batch runs the frozen layers on the stacked rows).
-    The first full batch is checked byte for byte against each job run
-    alone: a sample that relies on the kernels treating every full batch of
-    the group as they treat the first. If the cached frozen rows differ
-    there, every batch runs the frozen layers itself."""
+    (none, at k = 0) step layers k.. as a (jobs, parameters) block through
+    ``DensePass``. The frozen layers run once per split; a step gathers each
+    live job's own batch into a (jobs, batch, width) input (a short batch
+    runs the frozen layers on the stacked rows). The first full batch is
+    checked byte for byte against each job run alone: a sample that relies
+    on the kernels treating every full batch of the group as they treat the
+    first. If only the cached frozen rows differ, every batch runs the frozen
+    layers itself. A group of one steps its own 2-D batch, the pass the
+    check compares against, so it cannot fail."""
     model, n, size = models[0], len(train_ds), cfgs[0].batch_size
-    head = model.head(k)
-    offset = model.num_params - head.num_params
+    offset = model.params.segment(model.dense_layers()[k][0]).offset
     rows = _frozen_rows(model, k, train_ds.inputs, size)
     valid_rows = model.layer_input(valid_ds.inputs, k)
+    lone = len(models) == 1
 
     def step(ids, block, check):
         nonlocal rows
+        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
+        if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
+            rows = None  # per batch from now
+        sub, params = (ids[0], block[0]) if lone else (ids, block)
         cached = rows is not None and ids.shape[1] == min(size, n)
-        x = rows[ids] if cached else model.layer_input(train_ds.inputs[ids], k)
-        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else ()
-        if cached and any(a.tobytes() != b.tobytes() for a, b in zip(own_x, x)):
-            rows, x = None, model.layer_input(train_ds.inputs[ids], k)  # per batch from now
-        out = mz.DensePass(head, x, block)
-        values, grads = out.loss_gradient(train_ds.labels[ids])
-        for j, params in enumerate(block if check else ()):  # each job's pass run alone
-            own = mz.DensePass(head, own_x[j], params)
+        x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
+        out = mz.DensePass(model, x, params, k)
+        values, grads = out.loss_gradient(train_ds.labels[sub])
+        for j, own_params in enumerate(block if check and not lone else ()):
+            own = mz.DensePass(model, own_x[j], own_params, k)  # the job's pass run alone
             value, grad = own.loss_gradient(train_ds.labels[ids[j]])
             pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
                      (grad, grads[j])]
             if any(a.tobytes() != b.tobytes() for a, b in pairs):
                 return None, None
-        return values, grads
+        return values.reshape(len(block)), grads.reshape(len(block), -1)
 
     def read(params):
-        preds = np.argmax(mz.DensePass(head, valid_rows, params).output, axis=-1)
+        preds = mz.DensePass(model, valid_rows, params, k).predictions
         return [partial(met.evaluate, metric, p, valid_ds.labels) for p in preds]
 
     return _run_jobs(models, [s - offset for s in selections],
@@ -304,43 +306,50 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
                      step, read)
 
 
-def _train_model(model, selected, train_ds, valid_ds, cfg, metric: str):
-    """The full-model step source, for one job: ``ad.loss_gradient`` on the
-    whole model, whose parameters the block views, and ``metrics.score``."""
+def _train_model(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
+    """The whole-model step source, for tiny_attention: ``ad.loss_gradient``
+    on the model, whose parameters the block views, and ``metrics.score``.
+    It has no stacked step, so a group of several fails at once."""
+    if len(models) > 1:
+        return None
+    model = models[0]
+
     def step(ids, block, check):
         value, grad = ad.loss_gradient(model, train_ds.inputs[ids[0]], train_ds.labels[ids[0]])
         return np.array([value]), grad[None]
 
-    return _run_jobs([model], [selected], model.params.data[None], train_ds, [cfg], step,
-                     lambda params: [partial(met.score, metric, model, valid_ds)])[0]
+    return _run_jobs(models, selections, model.params.data[None], train_ds, cfgs, step,
+                     lambda params: [partial(met.score, metric, model, valid_ds)])
 
 
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
     """Fine-tune ``models[j]`` in place under ``masks[j]`` and ``cfgs[j]``
     for each job: its report, or the ``TrainingDiverged`` or
     ``UndefinedMetric`` it ended with. Masks and metrics are checked before
-    any job runs. Every job runs in one loop, with one of two step sources.
-    Jobs whose mask first reaches the same dense layer k > 0, whose models
-    hold equal layers 0..k-1 and whose configs differ at most in the seed
-    step their heads together (``_train_heads``); every other job, and each
-    job of a group that fails its first-batch check, steps its whole model
-    alone (``_train_model``). Losses, readings and parameters are the same
-    either way."""
+    any job runs. Jobs on models of one spec whose masks first reach the
+    same dense layer k, whose models hold equal layers 0..k-1 and whose
+    configs differ at most in the seed run as one group, through one step
+    source (``_train_heads``, or ``_train_model`` without dense layers). A
+    group that fails its first-batch check runs again as groups of one.
+    Losses, readings and parameters are the same either way."""
     groups: dict = {}
     for j, (model, mask, cfg) in enumerate(zip(models, masks, cfgs)):
         selected = _check_mask(model, mask)
         metric = met.check_metric(cfg.metric, model, valid_ds)
-        k = _first_trained_layer(model, selected)
-        start = k and model.params.segment(model.dense_layers()[k][0]).offset
-        key = (k, model.params.data[:start].tobytes(), astuple(replace(cfg, seed=0)), metric)
-        groups.setdefault(key if k else j, (k, metric, []))[2].append((j, selected))
+        k, start = _first_trained_layer(model, selected)
+        key = (model.spec, k, model.params.data[:start].tobytes(),
+               astuple(replace(cfg, seed=0)), metric)
+        groups.setdefault(key, (k, metric, []))[2].append((j, selected))
     outcomes: list = [None] * len(models)
     for k, metric, jobs in groups.values():
-        done = k and _train_heads([models[j] for j, _ in jobs], [s for _, s in jobs], k,
-                                  train_ds, valid_ds, [cfgs[j] for j, _ in jobs], metric)
-        for i, (j, selected) in enumerate(jobs):
-            outcomes[j] = done[i] if done else _train_model(models[j], selected, train_ds,
-                                                            valid_ds, cfgs[j], metric)
+        source = _train_heads if models[jobs[0][0]].dense_layers() else _train_model
+
+        def run(group):  # each job's outcome, or None after a failed check
+            return source([models[j] for j, _ in group], [s for _, s in group], k, train_ds,
+                          valid_ds, [cfgs[j] for j, _ in group], metric)
+
+        for (j, _), outcome in zip(jobs, run(jobs) or [run([job])[0] for job in jobs]):
+            outcomes[j] = outcome
     return outcomes
 
 

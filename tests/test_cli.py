@@ -217,6 +217,20 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_truncated_checkpoint_is_two(self, workspace, capsys):
+        w = workspace
+        cli.main(["gen-data", "--n", "40", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        mz.save_checkpoint(mz.build(mz.ModelSpec("logreg", input_dim=4)), w / "m.ckpt")
+        (w / "m.ckpt").write_bytes((w / "m.ckpt").read_bytes()[:40])
+        code, _, err = run(capsys, "fisher", "--data", str(w / "d.jsonl"),
+                           "--model", str(w / "m.ckpt"), "--out", str(w / "f.json"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert str(w / "m.ckpt") in payload["message"]
+        assert not (w / "f.json").exists()
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "train", "--data", "missing.jsonl",
                            "--out", "r.json")

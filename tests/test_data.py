@@ -120,6 +120,13 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match="line 2"):
             dio.load(path)
 
+    def test_ragged_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ragged.jsonl"
+        path.write_text('{"features": [1.0, 2.0], "label": 0}\n'
+                        '{"features": [1.0], "label": 1}\n')
+        with pytest.raises(ValueError, match="ragged.jsonl: line 2: 1 features"):
+            dio.load(path)
+
     def test_manifest_row_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"manifest": {"command": "gen-data"}}\n'

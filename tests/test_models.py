@@ -19,6 +19,13 @@ class TestBuild:
         model = mz.build(mz.ModelSpec("mlp", input_dim=4, hidden=(8,), num_classes=3, seed=0))
         assert model.num_params == 4 * 8 + 8 + 8 * 3 + 3 == 67
 
+    def test_hidden_widths_given_as_a_list(self):
+        """JSON gives widths as a list; the spec keeps a tuple, so it stays
+        hashable (fine-tunes group on it)."""
+        spec = mz.ModelSpec("mlp", input_dim=4, hidden=[8], num_classes=3)
+        assert spec == mz.ModelSpec("mlp", input_dim=4, hidden=(8,), num_classes=3)
+        assert hash(spec) == hash(mz.ModelSpec("mlp", input_dim=4, hidden=(8,), num_classes=3))
+
     def test_same_seed_bit_identical(self):
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(5,), num_classes=2, seed=123)
         a, b = mz.build(spec), mz.build(spec)

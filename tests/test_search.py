@@ -363,11 +363,11 @@ class TestRunGrid:
                                             classes=2, noise=1.5, seed=4))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         metrics_used, last_readings, epochs = [], [], []
-        real_score, real_train = met.score, tr.train_group
+        real_evaluate, real_train = met.evaluate, tr.train_group
 
-        def score_spy(metric, model, dataset):
+        def evaluate_spy(metric, preds, labels):
             metrics_used.append(metric)
-            return real_score(metric, model, dataset)
+            return real_evaluate(metric, preds, labels)
 
         def train_spy(*args, **kwargs):
             outcomes = real_train(*args, **kwargs)
@@ -375,7 +375,7 @@ class TestRunGrid:
             epochs.extend(report.epochs_run for report in outcomes)
             return outcomes
 
-        monkeypatch.setattr(met, "score", score_spy)
+        monkeypatch.setattr(met, "evaluate", evaluate_spy)
         monkeypatch.setattr(tr, "train_group", train_spy)
         cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3,
                                                 metric="mcc"))
@@ -496,6 +496,50 @@ class TestRunGrid:
         together, apart = grids[0].to_json(), [g.to_json() for g in grids[1:]]
         assert together["cells"] == apart[0]["cells"] + apart[1]["cells"]
         assert together["traces"] == apart[0]["traces"] + apart[1]["traces"]
+
+    @pytest.mark.parametrize("kind", ["logreg", "linear_regressor", "mlp"])
+    def test_dense_jobs_never_step_the_whole_model(self, kind, blob_splits, monkeypatch):
+        """Every fine-tune of a grid on a model with dense layers, layer-0
+        masks among them, runs through the stacked source. With every
+        stacked step's gradient one ulp off, each group fails its check and
+        its jobs run as groups of one, with the same cells and traces."""
+        if kind == "linear_regressor":
+            ds = dio.generate(dio.SyntheticSpec("linear_regression", n=120, dims=6,
+                                                noise=0.5, seed=1))
+            task = sr.Task(*dio.train_valid_split(ds, 0.2, seed=0))
+            spec = mz.ModelSpec(kind, input_dim=6, num_classes=0, seed=2)
+        else:
+            task = sr.Task(*blob_splits)
+            spec = mz.ModelSpec(kind, input_dim=6, hidden=(8,) if kind == "mlp" else (),
+                                num_classes=3, seed=2)
+        groups, real_heads = [], tr._train_heads
+
+        def heads(models, selections, k, *args):
+            done = real_heads(models, selections, k, *args)
+            groups.append((k, len(models), done is not None))
+            return done
+
+        def whole_model(*args):
+            raise AssertionError("a dense job stepped the whole model")
+
+        monkeypatch.setattr(tr, "_train_heads", heads)
+        monkeypatch.setattr(tr, "_train_model", whole_model)
+        grid = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0,))
+        grids = [sr.run_grid(replace(grid, mode=mode), task, spec, quick_cfg()).to_json()
+                 for mode in sr.MODES]
+        assert 0 in {k for k, _, _ in groups}
+        assert all(passed for *_, passed in groups)
+        groups.clear()
+        real_step = mz.DensePass.loss_gradient
+
+        def off(self, y):
+            value, grad = real_step(self, y)
+            return value, (np.nextafter(grad, np.inf) if np.ndim(value) else grad)
+
+        monkeypatch.setattr(mz.DensePass, "loss_gradient", off)
+        assert grids == [sr.run_grid(replace(grid, mode=mode), task, spec,
+                                     quick_cfg()).to_json() for mode in sr.MODES]
+        assert {(n > 1, passed) for _, n, passed in groups} == {(True, False), (False, True)}
 
     @pytest.mark.parametrize("mode,sparsity,samples,match", [
         ("ird", (0.025,), (1,), "at least 2 initial samples"),

@@ -465,8 +465,9 @@ class TestFrozenLayers:
         """With an output-only mask, each hidden layer sees the 160 training
         rows once, the first batch again (checked against the full model's
         arithmetic) and the 40 validation rows once, however many epochs
-        run; the output layer runs at every step and every validation, and
-        once more over the first batch (its stacked step's check)."""
+        run; the output layer runs at every step and every validation. A
+        group of one steps the pass its check would compare against, so no
+        pass runs twice."""
         rows_by_layer = []
         real_layer = mz._dense_layer
 
@@ -484,19 +485,23 @@ class TestFrozenLayers:
         assert report.epochs_run == 4
         rows = [sum(n for shape, n in rows_by_layer if shape == model.params.view(w).shape)
                 for w, _ in model.dense_layers()]
-        assert rows == [160 + 32 + 40] * len(hidden) + [4 * (160 + 40) + 32]
+        assert rows == [160 + 32 + 40] * len(hidden) + [4 * (160 + 40)]
 
     @pytest.mark.parametrize("kind", ["logreg", "tiny_attention", "linear_regressor",
                                       "mlp-layer0", "mlp-dense"])
     def test_full_model_path_when_layer_zero_trains(self, kind, monkeypatch):
-        """A model with one dense layer, or none, and a mask that reaches
-        layer 0 train the whole model at every step."""
-        def no_head(self, k):
-            raise AssertionError("a frozen-layer head was built")
+        """A mask that reaches layer 0 trains the whole model: a model with
+        dense layers steps the stacked pass from layer 0, byte for byte as
+        the full-model loop does; tiny_attention alone steps on the tape."""
+        whole, real_model = [], tr._train_model
 
-        monkeypatch.setattr(mz.MLP, "head", no_head)
+        def spy(*args):
+            whole.append(args)
+            return real_model(*args)
+
+        monkeypatch.setattr(tr, "_train_model", spy)
         spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == kind.split("-")[0])
-        model = mz.build(spec)
+        model, ref = mz.build(spec), mz.build(spec)
         if kind.startswith("mlp"):
             mask = layer_mask(model, kind[4:])
         else:
@@ -510,7 +515,13 @@ class TestFrozenLayers:
             ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=40, dims=spec.input_dim,
                                                 classes=spec.num_classes, seed=0))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
-        tr.train_masked(model, mask, train, valid, tr.TrainConfig(max_epochs=1))
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8)
+        report = tr.train_masked(model, mask, train, valid, cfg)
+        losses, readings = reference_fine_tune(ref, None if mask is None else mask.selected,
+                                               train, valid, cfg)
+        assert (report.train_losses, report.val_metrics) == (losses, readings)
+        assert model.params.data.tobytes() == ref.params.data.tobytes()
+        assert len(whole) == (spec.kind == "tiny_attention")
 
 
 def output_mask(model, step):
@@ -680,25 +691,88 @@ class TestGroupLoop:
     @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
     def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
         """With the stacked step's gradient one ulp off, the group fails the
-        check and every job runs straight through the full-model step, with
-        no group-of-one retry. With only the cached frozen rows one ulp off,
+        check and every job runs again as a stacked group of one, which steps
+        its own pass and passes. With only the cached frozen rows one ulp off,
         the group recomputes them for every batch and stays stacked."""
-        if broken == "frozen rows":
-            real_rows = tr._frozen_rows
-            monkeypatch.setattr(tr, "_frozen_rows",
-                                lambda *args: np.nextafter(real_rows(*args), np.inf))
-        else:
-            real_step = mz.DensePass.loss_gradient
-
-            def off(self, y):
-                value, grad = real_step(self, y)
-                return value, (np.nextafter(grad, np.inf) if np.ndim(value) else grad)
-
-            monkeypatch.setattr(mz.DensePass, "loss_gradient", off)
+        one_ulp_off(broken, monkeypatch)
         train, valid = blob_task(seed=9)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
         cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(3)]
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
                                    cfgs)
-        assert groups == [(3, broken == "frozen rows")]
+        assert groups == ([(3, True)] if broken == "frozen rows"
+                          else [(3, False), (1, True), (1, True), (1, True)])
+
+    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
+    def test_a_group_of_one_passes_its_check(self, broken, monkeypatch):
+        """A group of one steps its own 2-D batch, taking the cached frozen
+        rows only once they pass the check, so neither fault reaches it."""
+        one_ulp_off(broken, monkeypatch)
+        train, valid = blob_task(seed=9)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16, seed=3)]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec),
+                                   [lambda m: output_mask(m, 2)], train, valid, cfgs)
+        assert groups == [(1, True)]
+
+    @pytest.mark.parametrize("kind", ["logreg", "linear_regressor", "mlp-layer0"])
+    def test_layer_zero_jobs_stack(self, kind, monkeypatch):
+        """Jobs whose masks reach layer 0 (every job on a one-layer model)
+        step as one group, from layer 0."""
+        if kind == "linear_regressor":
+            ds = dio.generate(dio.SyntheticSpec("linear_regression", n=150, dims=5, noise=0.5,
+                                                seed=2))
+            train, valid = dio.train_valid_split(ds, 0.2, seed=0)
+            spec = mz.ModelSpec("linear_regressor", input_dim=5, num_classes=0, seed=3)
+        else:
+            train, valid = blob_task(seed=5, n=150, classes=3, noise=1.0)
+            spec = mz.ModelSpec(kind.split("-")[0], input_dim=6,
+                                hidden=(7,) if kind == "mlp-layer0" else (), num_classes=3,
+                                seed=3)
+
+        def reach_layer_zero(step):  # every step-th coordinate, from one of W0's first
+            def mask(model):
+                sel = np.arange(step % 3, model.num_params, step)
+                return fi.Mask(sel, len(sel) / model.num_params, model.num_params,
+                               model.content_hash())
+            return mask
+
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=16, seed=s)
+                for s in range(4)]
+        masks = [reach_layer_zero(step) for step in (1, 2, 3, 5)]
+        _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
+                                   cfgs)
+        assert groups == [(4, True)]
+
+    def test_jobs_on_other_specs_run_apart(self):
+        """Dense masks freeze no layer, so only the spec keeps a tanh and a
+        relu MLP of one layout, and a logreg, out of one group."""
+        train, valid = blob_task(seed=5, classes=3)
+        specs = [mz.ModelSpec("mlp", input_dim=6, hidden=(7,), num_classes=3, seed=3,
+                              activation=a) for a in ("tanh", "relu")]
+        specs.append(mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=3))
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=1)
+        models = [mz.build(spec) for spec in specs]
+        outcomes = tr.train_group(models, [None] * 3, train, valid, [cfg] * 3)
+        for spec, model, outcome in zip(specs, models, outcomes):
+            solo = mz.build(spec)
+            assert outcome == tr.train_masked(solo, None, train, valid, cfg)
+            assert model.params.data.tobytes() == solo.params.data.tobytes()
+
+
+def one_ulp_off(broken, monkeypatch):
+    """Put the cached frozen rows, or every stacked step's gradient, one ulp
+    off."""
+    if broken == "frozen rows":
+        real_rows = tr._frozen_rows
+        monkeypatch.setattr(tr, "_frozen_rows",
+                            lambda *args: np.nextafter(real_rows(*args), np.inf))
+    else:
+        real_step = mz.DensePass.loss_gradient
+
+        def off(self, y):
+            value, grad = real_step(self, y)
+            return value, (np.nextafter(grad, np.inf) if np.ndim(value) else grad)
+
+        monkeypatch.setattr(mz.DensePass, "loss_gradient", off)
