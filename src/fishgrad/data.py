@@ -36,7 +36,6 @@ class Dataset:
     num_classes: int = 0
     token_inputs: bool = False
     texts: list[tuple[str, str]] | None = None
-    split: str = ""
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -59,12 +58,11 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, ids, split: str = "") -> "Dataset":
+    def subset(self, ids) -> "Dataset":
         ids = np.asarray(ids, dtype=np.int64)
         texts = [self.texts[i] for i in ids] if self.texts is not None else None
         return Dataset(self.inputs[ids], self.labels[ids], self.task,
-                       self.num_classes, self.token_inputs, texts,
-                       split or self.split)
+                       self.num_classes, self.token_inputs, texts)
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     return Dataset(ids, labels, task, spec.classes, token_inputs=True)
 
 
-def split(dataset: Dataset, fractions, seed: int,
-          names: tuple[str, ...] | None = None) -> list[Dataset]:
+def split(dataset: Dataset, fractions, seed: int) -> list[Dataset]:
     """Seeded shuffle then partition; parts are disjoint and covering."""
     fractions = [float(f) for f in fractions]
     if any(f <= 0 for f in fractions):
@@ -157,18 +154,12 @@ def split(dataset: Dataset, fractions, seed: int,
     perm = np.random.default_rng(seed).permutation(n)
     bounds = [round(c * n) for c in np.cumsum(fractions)]
     bounds[-1] = n
-    parts, start = [], 0
-    for i, stop in enumerate(bounds):
-        name = names[i] if names else f"part{i}"
-        parts.append(dataset.subset(perm[start:stop], split=name))
-        start = stop
-    return parts
+    return [dataset.subset(perm[start:stop]) for start, stop in zip([0, *bounds], bounds)]
 
 
 def train_valid_split(dataset: Dataset, valid_fraction: float = 0.2,
                       seed: int = 0) -> tuple[Dataset, Dataset]:
-    train, valid = split(dataset, (1.0 - valid_fraction, valid_fraction), seed,
-                         names=("train", "valid"))
+    train, valid = split(dataset, (1.0 - valid_fraction, valid_fraction), seed)
     return train, valid
 
 
@@ -276,7 +267,11 @@ def load(path, format: str | None = None, dim: int = 2048, seed: int = 0) -> Dat
             if set(row) == {"manifest"}:
                 continue  # embedded provenance row from the CLI
             if "features" in row:
-                rows_feat.append([float(v) for v in row["features"]])
+                feats = row["features"]
+                if not isinstance(feats, list) or not all(
+                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats):
+                    raise ValueError(f"{path}: line {lineno}: features must be a list of numbers")
+                rows_feat.append([float(v) for v in feats])
                 if len(rows_feat[-1]) != len(rows_feat[0]):
                     raise ValueError(f"{path}: line {lineno}: {len(rows_feat[-1])} features, "
                                      f"the first row has {len(rows_feat[0])}")

@@ -12,10 +12,11 @@ All three scorers reduce one primitive, each row's squared gradient as
 per-layer blocks (``_squared_blocks``). For a dense layer, row i's weight
 gradient is the outer product of its input a_i and its output gradient
 delta_i, so the squared gradients summed over rows are (A^2)^T Delta^2 and
-each row's masked squared norm is a row sum of (A^2 @ M) * Delta^2. Stacks
-of dense layers (logreg, mlp, linear_regressor) supply A and Delta from one
-batched pass (``models.DensePass``) and form no per-sample gradient; any
-other model (tiny_attention) runs one tape pass per row and label.
+row i's squared norm over the layer's weights and bias is
+|delta_i|^2 (|a_i|^2 + 1). Stacks of dense layers (logreg, mlp,
+linear_regressor) supply A and Delta from one batched pass
+(``models.DensePass``) and form no per-sample gradient; any other model
+(tiny_attention) runs one tape pass per row and label.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class Mask:
     @property
     def size(self) -> int:
         return len(self.selected)
-
-    def as_bool(self) -> np.ndarray:
-        out = np.zeros(self.num_params, dtype=bool)
-        out[self.selected] = True
-        return out
 
 
 def mask_size(sparsity: float, num_params: int) -> int:
@@ -160,20 +156,6 @@ def _diagonal(model, blocks) -> np.ndarray:
     return values
 
 
-def _masked_rows(block, keep: np.ndarray) -> np.ndarray:
-    """Each row's squared gradient on one block, summed over the kept
-    coordinates: rows of (A^2 @ M) * S plus S @ m_b."""
-    weight, bias, a2, sq = block
-    m = keep[weight].reshape(a2.shape[1], sq.shape[1]).astype(np.float64)
-    # Contract the mask with the narrower side, so no (n x wider side)
-    # product is formed next to the squares.
-    if a2.shape[1] < sq.shape[1]:
-        rows = (a2 * (sq @ m.T)).sum(axis=1)
-    else:
-        rows = ((a2 @ m) * sq).sum(axis=1)
-    return rows if bias is None else rows + sq @ keep[bias].astype(np.float64)
-
-
 def empirical_fisher(model, dataset, subset=None) -> FisherDiagonal:
     """Mean of squared per-sample log-likelihood gradients at ground-truth labels."""
     ids = _resolve_subset(dataset, subset)
@@ -194,26 +176,23 @@ def expectation_fisher(model, dataset, subset=None) -> FisherDiagonal:
                           model.content_hash())
 
 
-def sample_scores(model, dataset, subset=None, restrict: Mask | None = None) -> np.ndarray:
-    """Squared gradient norm per sample, aligned with the subset's ids,
-    optionally summed only over a mask.
+def sample_scores(model, dataset, subset=None) -> np.ndarray:
+    """Squared gradient norm per sample, aligned with the subset's ids.
 
     This is the scalar used to rank samples: the sample's additive
-    contribution to the diagonal score total. For a dense layer the masked
-    sum of row i's squared weight gradient is sum_jk M_jk a_ij^2 delta_ik^2,
-    where M is the layer's block of the mask (all ones when unrestricted).
+    contribution to the diagonal score total. On a block, row i's sum of
+    a_ij^2 s_ik over the weights factors as (sum_j a_ij^2)(sum_k s_ik); the
+    bias adds sum_k s_ik once more.
     """
     ids = _resolve_subset(dataset, subset)
-    keep = (restrict.as_bool() if restrict is not None
-            else np.ones(model.num_params, dtype=bool))
     scores = np.zeros(len(ids), dtype=np.float64)
-    for block in _squared_blocks(model, dataset.inputs[ids], dataset.labels[ids]):
-        scores += _masked_rows(block, keep)
+    for _, bias, a2, sq in _squared_blocks(model, dataset.inputs[ids], dataset.labels[ids]):
+        scores += sq.sum(axis=1) * (a2.sum(axis=1) + (bias is not None))
     return scores
 
 
 def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,
-               k: int | None = None, model_hash: str | None = None) -> Mask:
+               k: int | None = None) -> Mask:
     """Select the k highest-scored parameter indices (lowest index wins ties)."""
     n = len(fisher.values)
     if k is None:
@@ -223,7 +202,7 @@ def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     return Mask(top_k_within(fisher.values, np.arange(n), k),
-                sparsity if sparsity is not None else k / n, n, model_hash or fisher.model_hash)
+                sparsity if sparsity is not None else k / n, n, fisher.model_hash)
 
 
 def top_k_within(fisher_values: np.ndarray, candidates: np.ndarray, k: int,

@@ -113,6 +113,10 @@ class ModelSpec:
     activation: str = "tanh"  # mlp / attention FFN nonlinearity
 
     def __post_init__(self):  # a list of widths, as JSON gives, kept hashable
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+                isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
+                for h in self.hidden):
+            raise ValueError(f"hidden must be a list of positive widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
 
     def to_dict(self) -> dict:
@@ -133,8 +137,6 @@ def _validate(spec: ModelSpec) -> None:
         raise ValueError(f"unknown model kind {spec.kind!r}")
     if spec.input_dim <= 0:
         raise ValueError(f"input_dim must be positive, got {spec.input_dim}")
-    if any(h <= 0 for h in spec.hidden):
-        raise ValueError(f"hidden dims must be positive, got {spec.hidden}")
     if spec.kind == "linear_regressor":
         if spec.num_classes != 0:
             raise ValueError("linear_regressor is scalar-output; set num_classes=0")

@@ -46,18 +46,12 @@ MODES = ("fish_random", "ird", "ird_inverse")
 
 @dataclass
 class IRDConfig:
-    """Knobs for one search run.
-
-    ``train_on_subset`` switches Score() to fine-tune on the surviving sample
-    subset instead of the full training split (the default treats the subset
-    purely as the mask-derivation set). ``restrict_sample_scores`` sums each
-    sample's squared gradient only over the current mask when ranking
-    samples.
-    """
+    """Knobs for one search run: the fine-tune's ``train`` config and the
+    master ``seed`` its training seeds derive from. The sample subsets only
+    derive masks; every fine-tune trains on the full training split, and
+    samples rank by their full squared-gradient norm."""
 
     train: tr.TrainConfig = field(default_factory=tr.TrainConfig)
-    restrict_sample_scores: bool = False
-    train_on_subset: bool = False
     seed: int = 0
 
 
@@ -124,28 +118,25 @@ def _score_from_json(value) -> float:
 
 
 def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, str]]:
-    """Fine-tune a fresh copy of the model of each planned job, (model, (mask,
-    fit ids or None for all rows, train seed), target), a group at a time; set
+    """Fine-tune a fresh copy of the model of each planned job, (model, mask,
+    train seed, target), on the full training split, a group at a time; set
     and return each target's score and status: ``ok``, or NaN with ``diverged``
     (a non-finite score too) or ``undefined`` (no metric on its predictions)."""
     for group in _groups(plan):
-        model, (_, fit_ids, _), _ = group[0]
         outcomes = tr.train_group(
-            [model.clone() for _ in group], [mask for _, (mask, _, _), _ in group],
-            train_ds if fit_ids is None else train_ds.subset(fit_ids), valid_ds,
-            [replace(cfg.train, seed=seed) for _, (_, _, seed), _ in group])
-        for (_, _, target), outcome in zip(group, outcomes):
+            [model.clone() for model, *_ in group], [mask for _, mask, _, _ in group],
+            train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed, _ in group])
+        for (*_, target), outcome in zip(group, outcomes):
             target.score = math.nan
             target.status = "undefined" if isinstance(outcome, UndefinedMetric) else "diverged"
             if isinstance(outcome, tr.TrainReport) and math.isfinite(outcome.val_metrics[-1]):
                 target.score, target.status = outcome.val_metrics[-1], "ok"
-    return [(target.score, target.status) for _, _, target in plan]
+    return [(target.score, target.status) for *_, target in plan]
 
 
 def _groups(plan) -> list[list]:
-    """Runs of planned jobs of one model on the same rows: one group each."""
-    return [list(run) for _, run in groupby(plan, key=lambda job: (
-        id(job[0]), None if job[1][1] is None else job[1][1].tobytes()))]
+    """Runs of planned jobs of one model: one group each."""
+    return [list(run) for _, run in groupby(plan, key=lambda job: id(job[0]))]
 
 
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
@@ -163,8 +154,8 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     schedule raises before any fine-tune runs (``_fine_tune``).
     """
     cfg = cfg or IRDConfig()
-    trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg, inverse,
-                              sample_targets, mask_targets)
+    trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg.seed,
+                              inverse, sample_targets, mask_targets)
     _fine_tune(plan, train_ds, valid_ds, cfg)
     return trace
 
@@ -178,10 +169,10 @@ def _halvings(size: int, inverse: bool) -> list[int]:
     return sizes
 
 
-def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig,
+def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
                 inverse: bool, sample_targets, mask_targets):
     """The search's subsets and masks as a trace with unscored records, and
-    each record's fine-tune job paired with the record.
+    each record's fine-tune job, its training seed derived from ``seed``.
 
     The schedule never depends on a score, so the default one is worked out
     before the search starts. Both halving steps are one operation: score
@@ -208,8 +199,7 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig
                              f"({len(subset)}, {mask.size})")
         # Scores indexed by row id, so ties go to the lower id whatever x0's order.
         by_id = np.zeros(len(train_ds))
-        by_id[subset.ids] = sample_scores(model, train_ds, subset,
-                                          restrict=mask if cfg.restrict_sample_scores else None)
+        by_id[subset.ids] = sample_scores(model, train_ds, subset)
         subset = SampleSubset(top_k_within(by_id, np.sort(subset.ids), keep_n,
                                            keep_largest=not inverse))
         trace.records.append(TraceRecord(iteration, PHASE_SAMPLES, math.nan, mask, subset))
@@ -220,8 +210,7 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg: IRDConfig
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
         trace.records.append(TraceRecord(iteration, PHASE_PARAMS, math.nan, mask, subset))
-    return trace, [(model, (r.mask, r.subset.ids if cfg.train_on_subset else None,
-                            _derive_seed(cfg.seed, r.iteration, r.phase == PHASE_PARAMS)), r)
+    return trace, [(model, r.mask, _derive_seed(seed, r.iteration, r.phase == PHASE_PARAMS), r)
                    for r in trace.records]
 
 
@@ -369,9 +358,8 @@ def _draw_ids(n_total: int, n_draw: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n_total, size=n_draw, replace=False))
 
 
-def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
-             cfg: IRDConfig | None = None, max_workers: int = 1,
-             initial_model=None) -> GridResult:
+def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
+             cfg: IRDConfig | None = None, max_workers: int = 1) -> GridResult:
     """Evaluate the staircase cells for every master seed in ``spec``.
 
     fish_random fills each cell independently: scores from ``n`` freshly
@@ -385,21 +373,16 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec | None = None,
     seed's cells and trace are planned, and all scoring done, here before any
     fine-tune runs, so a bad schedule raises first; the fine-tunes then run
     in up to ``max_workers`` processes, with the same results for any count.
-
-    A model is built once per master seed from ``model_spec`` (with a
-    derived init seed); pass ``initial_model`` instead to start every seed
-    from one fixed parameter snapshot.
+    Each master seed builds its own model from ``model_spec``, with an init
+    seed derived from both.
     """
     cfg = cfg or IRDConfig()
-    if (model_spec is None) == (initial_model is None):
-        raise ValueError("provide exactly one of model_spec / initial_model")
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     plans = []
     for seed in spec.seeds:
-        model = initial_model if initial_model is not None else mz.build(
-            replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
-        plans.append((seed, *_plan_seed(spec, task, model, cfg, seed)))
+        model = mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
+        plans.append((seed, *_plan_seed(spec, task, model, seed)))
     _fine_tune_chunks([job for _, plan, _ in plans for job in plan], task, cfg, max_workers)
     cells, traces = [], []
     for seed, plan, trace in plans:
@@ -448,7 +431,7 @@ def _fine_tune_chunks(plan, task: Task, cfg: IRDConfig, max_workers: int) -> Non
                 os.kill(pid, signal.SIGKILL)
             os.close(read_fd)
             os.waitpid(pid, 0)
-    for (_, _, target), (score, status) in zip(plan, sum(results, [])):
+    for (*_, target), (score, status) in zip(plan, sum(results, [])):
         target.score, target.status = score, status
 
 
@@ -480,19 +463,18 @@ def _fork(work) -> tuple[int, int]:
         os._exit(0)
 
 
-def _plan_cell(spec, task, model, cfg, seed, ri, ci):
+def _plan_cell(spec, task, model, seed, ri, ci):
     ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
     mask = top_k_mask(empirical_fisher(model, task.train, ids), sparsity=spec.sparsity_levels[ri])
-    return (model, (mask, ids if cfg.train_on_subset else None, _derive_seed(seed, ri, ci, 1)),
+    return (model, mask, _derive_seed(seed, ri, ci, 1),
             GridCell(spec.sparsity_levels[ri], spec.sample_levels[ci], seed, math.nan))
 
 
-def _plan_seed(spec, task, model, cfg, seed):
+def _plan_seed(spec, task, model, seed):
     """A master seed's jobs, each with the cell or record it scores, and trace."""
     if spec.mode == "fish_random":
-        return [_plan_cell(spec, task, model, cfg, seed, ri, ci)
+        return [_plan_cell(spec, task, model, seed, ri, ci)
                 for ri, ci in staircase_cells(len(spec.sparsity_levels))], None
-    run_cfg = replace(cfg, seed=_derive_seed(seed, 99))
     x0 = _draw_ids(len(task.train), spec.sample_levels[0], _derive_seed(seed, 0, 0, 0))
     mask_sizes = [mask_size(s, model.num_params) for s in spec.sparsity_levels]
     # Degenerate schedules (a level that does not shrink the mask) stop the
@@ -500,8 +482,8 @@ def _plan_seed(spec, task, model, cfg, seed):
     levels = list(zip(spec.sample_levels, mask_sizes))
     steps = [nxt for _, nxt in takewhile(lambda s: all(1 <= new < old for old, new in zip(*s)),
                                          zip(levels, levels[1:]))]
-    initial = _plan_cell(spec, task, model, cfg, seed, 0, 0)
-    trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], run_cfg,
+    initial = _plan_cell(spec, task, model, seed, 0, 0)
+    trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], _derive_seed(seed, 99),
                               spec.mode == "ird_inverse", [n for n, _ in steps],
                               [k for _, k in steps])
     return [initial, *plan], trace

@@ -122,23 +122,16 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              t: int | None = None, selected: np.ndarray | None = None) -> None:
-    """Bias-corrected Adam update in place, restricted to ``selected``.
-
-    ``t`` is the 1-based step count; by default the state's counter is
-    advanced and used.
-    """
-    if t is None:
-        state.t += 1
-        t = state.t
-    if t < 1:
-        raise ValueError(f"Adam step count must be >= 1, got {t}")
+              selected: np.ndarray | None = None) -> None:
+    """Bias-corrected Adam update in place, restricted to ``selected``; it
+    advances the state's 1-based step count and uses it."""
+    state.t += 1
     b1, b2 = betas
     g = grads if selected is None else grads[selected]
     state.m = b1 * state.m + (1 - b1) * g
     state.v = b2 * state.v + (1 - b2) * (g * g)
-    m_hat = state.m / (1 - b1 ** t)
-    v_hat = state.v / (1 - b2 ** t)
+    m_hat = state.m / (1 - b1 ** state.t)
+    v_hat = state.v / (1 - b2 ** state.t)
     update = lr * m_hat / (np.sqrt(v_hat) + eps)
     if selected is None:
         params -= update

@@ -129,6 +129,18 @@ class TestExitCodes:
         assert json.loads(err)["error"] == "ValueError"
         assert not (w / "r.json").exists()
 
+    def test_hidden_widths_not_a_list_is_two(self, workspace, capsys):
+        w = workspace
+        cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        code, _, err = run(capsys, "fisher", "--data", str(w / "d.jsonl"),
+                           "--model-config", '{"hidden": 8}', "--out", str(w / "f.json"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "hidden" in payload["message"]
+        assert not (w / "f.json").exists()
+
     def test_constant_regression_labels_are_two(self, workspace, capsys):
         """A correlation metric is undefined on constant validation labels;
         the grid stops before any fine-tune step."""

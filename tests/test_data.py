@@ -127,6 +127,15 @@ class TestLoadJsonl:
         with pytest.raises(ValueError, match="ragged.jsonl: line 2: 1 features"):
             dio.load(path)
 
+    @pytest.mark.parametrize("features", ['3', '[1, [2]]', '[1, "x"]'],
+                             ids=["number", "nested-list", "string"])
+    def test_non_numeric_features_name_file_and_line(self, tmp_path, features):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"features": [1.0, 2.0], "label": 0}\n'
+                        f'{{"features": {features}, "label": 1}}\n')
+        with pytest.raises(ValueError, match="bad.jsonl: line 2: features must be a list"):
+            dio.load(path)
+
     def test_manifest_row_skipped(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"manifest": {"command": "gen-data"}}\n'

@@ -125,13 +125,6 @@ class TestSampleScores:
         (score,) = fi.sample_scores(model, ds)
         assert score == pytest.approx(14.0, abs=0)
 
-    def test_restriction_sums_only_masked_indices(self):
-        model = regressor_with([0.0, 0.0])
-        ds = dataset_of([[2.0, -3.0]], [1.0])
-        mask = fi.Mask(np.array([0]), 1 / 3, 3)
-        (score,) = fi.sample_scores(model, ds, restrict=mask)
-        assert score == pytest.approx(4.0, abs=0)
-
     def test_ranking_matches_brute_force(self):
         rng = np.random.default_rng(9)
         model = mz.build(mz.ModelSpec("logreg", input_dim=4, num_classes=2, seed=3))
@@ -271,16 +264,13 @@ class TestFactoredScoresMatchTapeLoop:
         ids = np.array([7, 2, 9, 2, 0, 11])  # unsorted, with a duplicate
         X, y = ds.inputs[ids], ds.labels[ids]
         grads = ad.per_sample_gradients(model, X, y)
-        restrict = fi.random_mask(model.num_params, 0.3, seed=4)
-        keep = restrict.as_bool()
 
         empirical = sum(g * g for g in grads) / len(ids)
         assert np.abs(fi.empirical_fisher(model, ds, ids).values - empirical).max() <= 1e-12
-        for mask, sel in ((None, slice(None)), (restrict, keep)):
-            scores = fi.sample_scores(model, ds, ids, restrict=mask)
-            assert scores.shape == ids.shape
-            want = [float((g * g)[sel].sum()) for g in grads]
-            assert np.abs(scores - want).max() <= 1e-12
+        scores = fi.sample_scores(model, ds, ids)
+        assert scores.shape == ids.shape
+        want = [float((g * g).sum()) for g in grads]
+        assert np.abs(scores - want).max() <= 1e-12
         if model.is_classifier:
             expected = np.zeros(model.num_params)
             for x in X:
@@ -297,10 +287,8 @@ class TestFactoredScoresMatchTapeLoop:
     def test_repeat_calls_are_byte_identical(self, spec):
         model = mz.build(spec)
         ds = random_dataset(spec, 10, np.random.default_rng(3))
-        mask = fi.random_mask(model.num_params, 0.5, seed=1)
         scorers = [lambda: fi.empirical_fisher(model, ds).values,
-                   lambda: fi.sample_scores(model, ds),
-                   lambda: fi.sample_scores(model, ds, restrict=mask)]
+                   lambda: fi.sample_scores(model, ds)]
         if model.is_classifier:
             scorers.append(lambda: fi.expectation_fisher(model, ds).values)
         for scorer in scorers:

@@ -47,6 +47,9 @@ class TestBuild:
         dict(kind="mlp", input_dim=4, hidden=(0,), num_classes=2),
         dict(kind="linear_regressor", input_dim=3, num_classes=2),
         dict(kind="nope", input_dim=3, num_classes=2),
+        dict(kind="mlp", input_dim=4, hidden=8, num_classes=2),
+        dict(kind="mlp", input_dim=4, hidden=["8"], num_classes=2),
+        dict(kind="mlp", input_dim=4, hidden=[2.5], num_classes=2),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""The benchmark tracer's hold on fishgrad: every function it wraps exists,
-and installing it leaves nothing behind.
+"""The benchmark's hold on fishgrad: every function its tracer wraps exists,
+installing the tracer leaves nothing behind, and each workload runs an op.
 
 ``perfbench/tracing.py`` looks up each name it lists with ``getattr``, so a
 deleted or renamed function would break ``perfbench/run.py --trace 1``
@@ -15,6 +15,7 @@ import fishgrad
 from fishgrad import models as mz
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def load_tracing():
@@ -56,3 +57,20 @@ def test_tracer_installs_and_uninstalls_cleanly():
         now = vars(owner)
         assert now.keys() == saved.keys()
         assert all(now[name] is value for name, value in saved.items()), owner
+
+
+def test_every_workload_passes_its_check(tmp_path):
+    """One op of each workload, with one worker so nothing forks, passes the
+    workload's own check: an argument the benchmark passes that fishgrad no
+    longer takes fails here, not only in a benchmark run."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, workload_class in module.WORKLOADS.items():
+        workload = workload_class()
+        workdir = tmp_path / name
+        workdir.mkdir()
+        state = workload.setup(0, str(workdir))
+        state.update(workers=1, threads="1")
+        out = workload.op(state, 0)
+        assert workload.check(state, 0, out, True) == [], name

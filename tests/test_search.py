@@ -177,26 +177,6 @@ class TestInverseComplementarity:
             assert kept_f | kept_i == prev_fwd & prev_inv if prev_fwd == prev_inv else True
             prev_fwd, prev_inv = kept_f, kept_i
 
-    def test_restricted_sample_scores_change_the_ranking_basis(self, blob_splits, blob_model):
-        """With restriction on, per-sample scores sum only masked coordinates."""
-        train, valid = blob_splits
-        cfg = quick_cfg()
-        restricted = sr.ird(blob_model, train, valid, np.arange(8), initial_k=16,
-                            cfg=sr.IRDConfig(train=cfg.train, restrict_sample_scores=True))
-        mask0 = restricted.initial_mask
-        scores = fi.sample_scores(blob_model, train, np.arange(8), restrict=mask0)
-        expected = fi.top_k_within(scores, np.arange(8), 4)
-        np.testing.assert_array_equal(restricted.records[0].subset.ids, expected)
-
-    def test_train_on_subset_flag_changes_scores(self, blob_splits, blob_model):
-        train, valid = blob_splits
-        full = sr.ird(blob_model, train, valid, np.arange(8), initial_k=16,
-                      cfg=quick_cfg())
-        sub = sr.ird(blob_model, train, valid, np.arange(8), initial_k=16,
-                     cfg=sr.IRDConfig(train=quick_cfg().train, train_on_subset=True))
-        assert len(full) == len(sub)  # same trajectory shape
-        assert [r.score for r in full.records] != [r.score for r in sub.records]
-
     def test_inverse_keeps_low_fisher_parameters(self, blob_splits, blob_model):
         train, valid = blob_splits
         inv = sr.ird_inverse(blob_model, train, valid, np.arange(8), initial_k=16,
@@ -258,10 +238,11 @@ class TestRunGrid:
         ds = dio.Dataset(X, model.predictions(X), "regression")
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         base = 1.0
-        spec = sr.GridSpec((0.5, 0.2), (16, 4), "fish_random", (0, 1))
-        result = sr.run_grid(spec, sr.Task(train, valid), cfg=quick_cfg(),
-                             initial_model=model)
-        assert all(cell.score == pytest.approx(base, abs=1e-12) for cell in result.cells)
+        for search in (sr.ird, sr.ird_inverse):
+            trace = search(model, train, valid, np.arange(16), initial_sparsity=0.5,
+                           cfg=quick_cfg())
+            assert len(trace) > 0
+            assert all(r.score == pytest.approx(base, abs=1e-12) for r in trace.records)
 
     def test_degenerate_mask_levels_stop_the_trace_early(self, blob_splits):
         """Axis levels that stop shrinking the mask end the trajectory; the
@@ -387,19 +368,16 @@ class TestRunGrid:
         assert [c.score for c in result.cells] == last_readings
 
     def test_thread_pool_matches_serial(self, blob_splits, monkeypatch):
-        """Any worker count gives the serial grid, in every mode, fine-tuning
-        on all rows or on the subsets: groups fine-tune in forked workers as
-        they do in one process."""
+        """Any worker count gives the serial grid, in every mode: groups
+        fine-tune in forked workers as they do in one process."""
         monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
         train, valid = blob_splits
         model_spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=3, seed=0)
         for mode in sr.MODES:
-            for on_subset in (False, True):
-                spec = sr.GridSpec((0.4, 0.2), (16, 4), mode, (0, 1))
-                cfg = replace(quick_cfg(), train_on_subset=on_subset)
-                grids = [sr.run_grid(spec, sr.Task(train, valid), model_spec, cfg,
-                                     max_workers=workers).to_json() for workers in (1, 2, 3, 4)]
-                assert all(grid == grids[0] for grid in grids[1:]), (mode, on_subset)
+            spec = sr.GridSpec((0.4, 0.2), (16, 4), mode, (0, 1))
+            grids = [sr.run_grid(spec, sr.Task(train, valid), model_spec, quick_cfg(),
+                                 max_workers=workers).to_json() for workers in (1, 2, 3, 4)]
+            assert all(grid == grids[0] for grid in grids[1:]), mode
 
     @staticmethod
     def process_state():
@@ -413,9 +391,9 @@ class TestRunGrid:
 
     @FORKS
     def test_grid_fine_tunes_in_forked_workers(self, blob_splits, monkeypatch, tmp_path):
-        """max_workers=4 runs six one-job groups in four processes, the
-        caller's and three forked ones, but never splits a group: two seeds'
-        groups of three run in two. No child, thread or fd is left behind."""
+        """max_workers=4 runs six seeds' groups of three in four processes,
+        the caller's and three forked ones, but never splits a group: two
+        seeds' groups run in two. No child, thread or fd is left behind."""
         monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
         train, valid = blob_splits
         real = tr.train_group
@@ -425,25 +403,25 @@ class TestRunGrid:
                 fh.write(f"{os.getpid()}\n")
             return real(*args, **kwargs)
 
-        def pids(cfg, max_workers=4):
+        def pids(seeds, max_workers=4):
             (tmp_path / "pids").write_text("")
-            sr.run_grid(sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0, 1)),
+            sr.run_grid(sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", seeds),
                         sr.Task(train, valid),
-                        mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0), cfg,
-                        max_workers=max_workers)
+                        mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
+                        quick_cfg(), max_workers=max_workers)
             return set((tmp_path / "pids").read_text().split())
 
         monkeypatch.setattr(tr, "train_group", spy)
         before = self.process_state()
-        on_subsets = pids(replace(quick_cfg(), train_on_subset=True))
-        assert len(on_subsets) == 4 and str(os.getpid()) in on_subsets
-        assert len(pids(quick_cfg())) == 2
+        six_seeds = pids(range(6))
+        assert len(six_seeds) == 4 and str(os.getpid()) in six_seeds
+        assert len(pids((0, 1))) == 2
         assert self.process_state() == before == before[:2] + (False,)
         # Python 3.12 and later warn on a fork with threads: the chunks run here.
         monkeypatch.setattr(sr, "sys", SimpleNamespace(version_info=(3, 12, 0)))
-        assert pids(replace(quick_cfg(), train_on_subset=True)) == {str(os.getpid())}
+        assert pids(range(6)) == {str(os.getpid())}
         with pytest.raises(ValueError, match="max_workers"):
-            pids(quick_cfg(), max_workers=0)
+            pids((0, 1), max_workers=0)
 
     @FORKS
     @pytest.mark.parametrize("failure,error,match", [

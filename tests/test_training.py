@@ -61,11 +61,6 @@ class TestAdamStep:
             tr.adam_step(params, np.array([0.2, 0.2]), state, lr=0.01)
         assert params[0] == params[1]
 
-    def test_step_count_below_one_rejected(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            tr.adam_step(np.zeros(1), np.ones(1), tr.AdamState.for_size(1),
-                         lr=0.1, t=0)
-
 
 class TestEarlyStop:
     def test_monotonic_improvement_never_stops(self):
@@ -397,9 +392,9 @@ class TestFrozenLayers:
 
     @pytest.mark.parametrize("n_fit", [1, 16, 33, 64])
     def test_matches_on_a_training_subset(self, n_fit, monkeypatch):
-        """Subsets as ``train_on_subset`` fits them: one row, no full batch,
-        a one-row short batch (a one-row product takes another BLAS path),
-        and only full batches."""
+        """Small training splits: one row, no full batch, a one-row short
+        batch (a one-row product takes another BLAS path), and only full
+        batches."""
         train, valid = blob_task(seed=7)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(12,), num_classes=2, seed=8)
         cfg = tr.TrainConfig(optimizer="sgd", learning_rate=0.1, max_epochs=4, seed=9)
@@ -407,15 +402,15 @@ class TestFrozenLayers:
                                       valid, cfg)
 
     def test_grid_on_training_subsets_matches_full_model_loop(self, monkeypatch):
-        """Every cell and trace of an ird grid that fine-tunes on the
-        surviving subsets equals the grid whose planned jobs all run through
-        the full-model loop."""
+        """Every cell and trace of an ird grid, whose masks come from
+        training subsets and whose fine-tunes use the whole training split,
+        equals the grid whose planned jobs all run through the full-model
+        loop."""
         ds = dio.generate(dio.SyntheticSpec("xor_ring", n=160, dims=4, noise=0.3, seed=3))
         task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
         spec = sr.GridSpec((0.2, 0.1, 0.05), (40, 9, 1), "ird", (0, 1))
         model_spec = mz.ModelSpec("mlp", input_dim=4, hidden=(16,), num_classes=2, seed=1)
-        cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3),
-                           train_on_subset=True)
+        cfg = sr.IRDConfig(train=tr.TrainConfig(learning_rate=0.05, max_epochs=3))
         result = sr.run_grid(spec, task, model_spec, cfg).to_json()
         referenced = []
 
