@@ -221,20 +221,17 @@ def _infer_labels(raw: list[tuple[int, str]]):
     return np.asarray(floats, dtype=np.float64), "regression", 0
 
 
-def load(path, format: str | None = None, dim: int = 2048, seed: int = 0) -> Dataset:
-    """Read a TSV or JSONL dataset; text pairs are joined and hash-featurized.
+def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
+    """Read a JSONL (``.jsonl`` or ``.json``) or else TSV dataset; text pairs
+    are joined and hash-featurized.
 
     Row order follows the file. Malformed rows raise with their line number.
     """
     path = str(path)
-    if format is None:
-        format = "jsonl" if path.endswith((".jsonl", ".json")) else "tsv"
-    if format not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown format {format!r}")
     rows_text, rows_feat, labels_raw = [], [], []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if format == "tsv":
+    if not path.endswith((".jsonl", ".json")):
         if not lines:
             raise ValueError(f"{path}: empty file")
         header = lines[0].split("\t")

@@ -105,10 +105,6 @@ def _resolve_subset(dataset, subset) -> np.ndarray:
     return ids
 
 
-def _span(segment) -> slice:
-    return slice(segment.offset, segment.offset + segment.length)
-
-
 def _tape_rows(model, X, y):
     """Each row's log-likelihood gradient and p(y_i | x_i), from one tape
     pass per row: the path for models without dense-layer factors."""
@@ -137,8 +133,7 @@ def _squared_blocks(model, X, y=None) -> list[tuple]:
             grads, p = _tape_rows(model, X, labels)
             layers = [(slice(0, model.num_params), None, np.ones((n, 1)), grads)]
         else:
-            layers = [(_span(f.weight), _span(f.bias), f.inputs, f.grads)
-                      for f in dense.factors(labels)]
+            layers = dense.factors(labels)
             p = None if cls is None else dense.probs[:, cls]
         squares = [g ** 2 if cls is None else p[:, None] * g ** 2 for *_, g in layers]
         total = squares if total is None else [acc + s for acc, s in zip(total, squares)]

@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict
 from functools import cached_property, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +97,13 @@ class ParamVector:
         return out
 
 
+KINDS = ("logreg", "mlp", "tiny_attention", "linear_regressor")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture + init seed. ``num_classes=0`` marks a scalar-output
@@ -112,12 +119,32 @@ class ModelSpec:
     max_len: int = 16
     activation: str = "tanh"  # mlp / attention FFN nonlinearity
 
-    def __post_init__(self):  # a list of widths, as JSON gives, kept hashable
+    def __post_init__(self):
+        """Reject a bad spec here, before anything is built from it. JSON gives
+        ``hidden`` as a list of widths; it is kept as a tuple, so hashable."""
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("input_dim", "num_classes", "seed", "embed_dim", "max_len"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.hidden, (list, tuple)) or not all(
-                isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
-                for h in self.hidden):
+                _is_int(h) and h > 0 for h in self.hidden):
             raise ValueError(f"hidden must be a list of positive widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(self.hidden))
+        if self.input_dim <= 0:
+            raise ValueError(f"input_dim must be positive, got {self.input_dim}")
+        if self.kind == "linear_regressor":
+            if self.num_classes != 0:
+                raise ValueError("linear_regressor is scalar-output; set num_classes=0")
+        elif self.num_classes < 2:
+            raise ValueError(f"classifiers need num_classes >= 2, got {self.num_classes}")
+        if self.kind == "tiny_attention":
+            if self.embed_dim <= 0 or self.embed_dim > 32:
+                raise ValueError(f"embed_dim must be in (0, 32], got {self.embed_dim}")
+            if self.max_len <= 0:
+                raise ValueError(f"max_len must be positive, got {self.max_len}")
+        if self.activation not in ("tanh", "relu"):
+            raise ValueError(f"unknown activation {self.activation!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -127,29 +154,6 @@ class ModelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         return ModelSpec(**d)
-
-
-KINDS = ("logreg", "mlp", "tiny_attention", "linear_regressor")
-
-
-def _validate(spec: ModelSpec) -> None:
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown model kind {spec.kind!r}")
-    if spec.input_dim <= 0:
-        raise ValueError(f"input_dim must be positive, got {spec.input_dim}")
-    if spec.kind == "linear_regressor":
-        if spec.num_classes != 0:
-            raise ValueError("linear_regressor is scalar-output; set num_classes=0")
-    else:
-        if spec.num_classes < 2:
-            raise ValueError(f"classifiers need num_classes >= 2, got {spec.num_classes}")
-    if spec.kind == "tiny_attention":
-        if spec.embed_dim <= 0 or spec.embed_dim > 32:
-            raise ValueError(f"embed_dim must be in (0, 32], got {spec.embed_dim}")
-        if spec.max_len <= 0:
-            raise ValueError(f"max_len must be positive, got {spec.max_len}")
-    if spec.activation not in ("tanh", "relu"):
-        raise ValueError(f"unknown activation {spec.activation!r}")
 
 
 def _init(params: ParamVector, fan_in: dict[str, int], seed: int) -> None:
@@ -206,10 +210,9 @@ class Model:
         raise NotImplementedError
 
     def log_prob_mean(self, tape: ad.Tape, X, y) -> ad.Tensor:
-        """Scalar mean over the batch of log p(y_i | x_i)."""
-        bound = tape.bind(self.params)
-        logits = self.logits_tensor(tape, bound, self._check_inputs(X))
-        return ad.scale(ad.nll(ad.log_softmax(logits), self._check_labels(y)), -1.0)
+        """Scalar mean over the batch of log p(y_i | x_i): minus the
+        cross-entropy, or minus half the regressor's squared error."""
+        return ad.scale(self.loss_mean(tape, X, y), -1.0 if self.is_classifier else -0.5)
 
     def loss_mean(self, tape: ad.Tape, X, y) -> ad.Tensor:
         """Scalar mean cross-entropy over the batch."""
@@ -348,7 +351,7 @@ class TinyAttention(Model):
         pooled = ad.mean_rows(f)
         return ad.bias_add(ad.matmul(pooled, bound["Wh"]), bound["bh"])
 
-    def _mean_nll(self, tape, X, y) -> ad.Tensor:
+    def loss_mean(self, tape, X, y) -> ad.Tensor:
         # No stack primitive in the op set: accumulate per-sequence scalar
         # losses with add and rescale by 1/B.
         X = self._check_inputs(X)
@@ -359,12 +362,6 @@ class TinyAttention(Model):
             term = ad.nll(ad.log_softmax(self._logits_single(tape, bound, X[i])), int(y[i]))
             total = term if total is None else ad.add(total, term)
         return ad.scale(total, 1.0 / len(X))
-
-    def loss_mean(self, tape, X, y) -> ad.Tensor:
-        return self._mean_nll(tape, X, y)
-
-    def log_prob_mean(self, tape, X, y) -> ad.Tensor:
-        return ad.scale(self._mean_nll(tape, X, y), -1.0)
 
     def predictions(self, X) -> np.ndarray:
         X = self._check_inputs(X)
@@ -401,13 +398,6 @@ class LinearRegressor(Model):
     def dense_layers(self):
         return (("w", "b"),)
 
-    def log_prob_mean(self, tape, X, y) -> ad.Tensor:
-        # Unit-variance Gaussian up to a constant fixed at 0:
-        # log p = -(f(x)-y)^2 / 2, averaged over the batch.
-        bound = tape.bind(self.params)
-        pred = self._predict_tensor(tape, bound, self._check_inputs(X))
-        return ad.scale(ad.mse(pred, np.asarray(y, dtype=np.float64)), -0.5)
-
     def loss_mean(self, tape, X, y) -> ad.Tensor:
         bound = tape.bind(self.params)
         pred = self._predict_tensor(tape, bound, self._check_inputs(X))
@@ -425,19 +415,6 @@ def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
     if activation == "relu":
         return np.maximum(z, 0.0, out=z)
     return z
-
-
-class DenseFactor(NamedTuple):
-    """Per-example gradient factors of one dense layer over a batch.
-
-    Row i's gradient of log p(y_i | x_i) is outer(inputs[i], grads[i]) on the
-    weight segment and grads[i] on the bias segment.
-    """
-
-    weight: Segment
-    bias: Segment
-    inputs: np.ndarray  # A, (n, fan_in): the layer's input
-    grads: np.ndarray   # Delta, (n, fan_out): d log p(y|x) / d layer output
 
 
 class DensePass:
@@ -519,18 +496,20 @@ class DensePass:
                 delta = delta @ np.swapaxes(self._weights[i], -1, -2)
                 delta *= slope
 
-    def factors(self, y) -> list[DenseFactor]:
-        """Factors of log p(y_i | x_i) for class ids or regression targets ``y``."""
+    def factors(self, y) -> list[tuple]:
+        """Per-example factors of log p(y_i | x_i) for class ids or regression
+        targets ``y``: (weight span, bias span, A, Delta) per layer, input side
+        first. A (n, fan_in) is the layer's input and Delta (n, fan_out) the
+        gradient at its output; row i's gradient is outer(A[i], Delta[i]) on
+        the weight span and Delta[i] on the bias span. The spans index the
+        pass's parameter block: the whole vector, for a pass from layer 0."""
         if self.model.is_classifier:
             y = self.model._check_labels(y)
             delta = -self.probs
             delta[np.arange(len(y)), y] += 1.0
         else:
             delta = np.asarray(y, dtype=np.float64)[:, None] - self.output
-        segment = self.model.params.segment
-        return [DenseFactor(segment(self._names[i][0]), segment(self._names[i][1]),
-                            self._inputs[i], d)
-                for i, d in self._backward(delta)][::-1]
+        return [(*self._spans[i], self._inputs[i], d) for i, d in self._backward(delta)][::-1]
 
     def loss_gradient(self, y) -> tuple[float, np.ndarray]:
         """(mean training loss, its gradient over the pass's parameter
@@ -570,7 +549,6 @@ _CLASSES = {"logreg": LogReg, "mlp": MLP, "tiny_attention": TinyAttention,
 
 def build(spec: ModelSpec) -> Model:
     """Construct and deterministically initialize a model from its spec."""
-    _validate(spec)
     cls = _CLASSES[spec.kind]
     layout, fan = cls.layout(spec)
     params = ParamVector(layout)

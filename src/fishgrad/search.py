@@ -141,21 +141,19 @@ def _groups(plan) -> list[list]:
 
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
         initial_k: int | None = None, cfg: IRDConfig | None = None,
-        inverse: bool = False, sample_targets=None, mask_targets=None) -> IRDTrace:
+        inverse: bool = False) -> IRDTrace:
     """Run the halving search from sample set ``x0`` and a top-k mask.
 
-    ``sample_targets`` / ``mask_targets`` override the default shrink
-    schedule, which halves both sets (ceil halves; floor halves for the
-    inverse search), with explicit successive sizes (used by the grid runner
-    to hit preset axis levels). The search stops once either set has one
-    element. Masks always shrink within the previous mask, so the recorded
-    masks are strictly nested, as are the sample subsets. No score feeds
-    back into the search, so the trajectory is planned first and a bad
-    schedule raises before any fine-tune runs (``_fine_tune``).
+    Each iteration halves the sample set, then the mask (ceil halves; floor
+    halves for the inverse search), until either set has one element. Masks
+    always shrink within the previous mask, so the recorded masks are
+    strictly nested, as are the sample subsets. No score feeds back into the
+    search, so the trajectory is planned first and a bad input raises before
+    any fine-tune runs (``_fine_tune``).
     """
     cfg = cfg or IRDConfig()
     trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg.seed,
-                              inverse, sample_targets, mask_targets)
+                              inverse)
     _fine_tune(plan, train_ds, valid_ds, cfg)
     return trace
 
@@ -170,16 +168,17 @@ def _halvings(size: int, inverse: bool) -> list[int]:
 
 
 def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
-                inverse: bool, sample_targets, mask_targets):
+                inverse: bool, steps=None):
     """The search's subsets and masks as a trace with unscored records, and
     each record's fine-tune job, its training seed derived from ``seed``.
 
-    The schedule never depends on a score, so the default one is worked out
+    ``steps`` are the (samples, mask size) pairs to keep, each smaller than
+    the last on both sets (the grid's staircase levels), or by default the
+    halvings of both sets, which end at one element; the search stops with
+    the shorter list. The schedule never depends on a score, so it is known
     before the search starts. Both halving steps are one operation: score
     the current set, then keep the scheduled number with ``top_k_within``.
     """
-    if (sample_targets is None) != (mask_targets is None):
-        raise ValueError("provide both shrink schedules or neither")
     x0 = np.asarray(x0, dtype=np.int64)
     if len(x0) < 2:
         raise ValueError(f"need at least 2 initial samples, got {len(x0)}")
@@ -187,16 +186,11 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
                       k=initial_k)
     if mask.size < 2:
         raise ValueError(f"initial mask must select at least 2 parameters, got {mask.size}")
-    if sample_targets is None:
-        sample_targets, mask_targets = _halvings(len(x0), inverse), _halvings(mask.size, inverse)
+    if steps is None:
+        steps = zip(_halvings(len(x0), inverse), _halvings(mask.size, inverse))
     subset = SampleSubset(x0)
     trace = IRDTrace([], mask, subset)
-    for iteration, (keep_n, keep_k) in enumerate(zip(sample_targets, mask_targets)):
-        if len(subset) == 1 or mask.size == 1:
-            break
-        if not 1 <= keep_n < len(subset) or not 1 <= keep_k < mask.size:
-            raise ValueError(f"schedule step ({keep_n}, {keep_k}) does not shrink "
-                             f"({len(subset)}, {mask.size})")
+    for iteration, (keep_n, keep_k) in enumerate(steps):
         # Scores indexed by row id, so ties go to the lower id whatever x0's order.
         by_id = np.zeros(len(train_ds))
         by_id[subset.ids] = sample_scores(model, train_ds, subset)
@@ -215,12 +209,9 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
 
 
 def ird_inverse(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
-                initial_k: int | None = None, cfg: IRDConfig | None = None,
-                sample_targets=None, mask_targets=None) -> IRDTrace:
+                initial_k: int | None = None, cfg: IRDConfig | None = None) -> IRDTrace:
     """Control run keeping the below-median halves at both decision points."""
-    return ird(model, train_ds, valid_ds, x0, initial_sparsity, initial_k,
-               cfg, inverse=True, sample_targets=sample_targets,
-               mask_targets=mask_targets)
+    return ird(model, train_ds, valid_ds, x0, initial_sparsity, initial_k, cfg, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +238,10 @@ class GridSpec:
                 raise ValueError(f"{name} levels must be nonempty")
             if any(b >= a for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} levels must be strictly decreasing: {levels}")
+        if not all(0 < s <= 1 for s in self.sparsity_levels):
+            raise ValueError(f"sparsity levels must be in (0, 1]: {self.sparsity_levels}")
+        if self.sample_levels[-1] < 1:
+            raise ValueError(f"sample levels must be at least 1: {self.sample_levels}")
         if len(self.sparsity_levels) != len(self.sample_levels):
             raise ValueError("staircase needs axes of equal length")
         if self.mode not in MODES:
@@ -477,15 +472,14 @@ def _plan_seed(spec, task, model, seed):
                 for ri, ci in staircase_cells(len(spec.sparsity_levels))], None
     x0 = _draw_ids(len(task.train), spec.sample_levels[0], _derive_seed(seed, 0, 0, 0))
     mask_sizes = [mask_size(s, model.num_params) for s in spec.sparsity_levels]
-    # Degenerate schedules (a level that does not shrink the mask) stop the
-    # trace early rather than erroring; the remaining cells stay unexplored.
+    # Degenerate levels (a sparsity that leaves the mask size unchanged) stop
+    # the trace early rather than erroring; the remaining cells stay unexplored.
     levels = list(zip(spec.sample_levels, mask_sizes))
-    steps = [nxt for _, nxt in takewhile(lambda s: all(1 <= new < old for old, new in zip(*s)),
+    steps = [nxt for _, nxt in takewhile(lambda s: all(new < old for old, new in zip(*s)),
                                          zip(levels, levels[1:]))]
     initial = _plan_cell(spec, task, model, seed, 0, 0)
     trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], _derive_seed(seed, 99),
-                              spec.mode == "ird_inverse", [n for n, _ in steps],
-                              [k for _, k in steps])
+                              spec.mode == "ird_inverse", steps)
     return [initial, *plan], trace
 
 

@@ -1,18 +1,20 @@
 """Masked fine-tuning: optimizer updates restricted to selected indices.
 
 Each batch gradient is projected onto the mask, so coordinates outside the
-mask are provably untouched (bit-identical before and after any run).
-Optimizer state is allocated only for masked indices. Every fine-tune runs
-in one loop (``_run_jobs``) with one of two step sources: on a model with
-dense layers, jobs run the layers below k, the first their masks reach, once
-ahead of training and step layers k.. together (``_train_heads``); on
-tiny_attention, a job steps its whole model on the tape (``_train_model``).
-The loss is fixed by the model head (negative log-likelihood for
-classifiers, mean squared error for regressors). ``TrainConfig.metric`` is
-the one validation metric: it is read after every epoch, early stopping
-fires after ``patience`` epochs without a strictly better reading (but only
-once the best reading has cleared the stop threshold, so under-trained
-models keep going), and the last reading is the run's score.
+mask are provably untouched (bit-identical before and after any run). Both
+optimizers (``sgd_step``, ``adam_step``) step only the flat indices they are
+given, every index for dense training (no mask), and Adam's state is
+allocated only for those. Every fine-tune runs in one loop (``_run_jobs``)
+with one of two step sources: on a model with dense layers, jobs run the
+layers below k, the first their masks reach, once ahead of training and step
+layers k.. together (``_train_heads``); on tiny_attention, a job steps its
+whole model on the tape (``_train_model``). The loss is fixed by the model
+head (negative log-likelihood for classifiers, mean squared error for
+regressors). ``TrainConfig.metric`` is the one validation metric: it is read
+after every epoch, early stopping fires after ``patience`` epochs without a
+strictly better reading (but only once the best reading has cleared the stop
+threshold, so under-trained models keep going), and the last reading is the
+run's score.
 """
 
 from __future__ import annotations
@@ -98,13 +100,9 @@ def early_stop_check(history, patience: int, threshold: float) -> bool:
     return stale >= patience and history[best_idx] > threshold
 
 
-def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float,
-             selected: np.ndarray | None = None) -> None:
-    """In-place SGD update on the selected indices (all, when None)."""
-    if selected is None:
-        params -= lr * grads
-    else:
-        params[selected] -= lr * grads[selected]
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float, selected: np.ndarray) -> None:
+    """In-place SGD update on the ``selected`` indices."""
+    params[selected] -= lr * grads[selected]
 
 
 @dataclass
@@ -121,22 +119,18 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              selected: np.ndarray | None = None) -> None:
+              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8, *,
+              selected: np.ndarray) -> None:
     """Bias-corrected Adam update in place, restricted to ``selected``; it
     advances the state's 1-based step count and uses it."""
     state.t += 1
     b1, b2 = betas
-    g = grads if selected is None else grads[selected]
+    g = grads[selected]
     state.m = b1 * state.m + (1 - b1) * g
     state.v = b2 * state.v + (1 - b2) * (g * g)
     m_hat = state.m / (1 - b1 ** state.t)
     v_hat = state.v / (1 - b2 ** state.t)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    if selected is None:
-        params -= update
-    else:
-        params[selected] -= update
+    params[selected] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def _check_mask(model, mask: Mask | None) -> np.ndarray:

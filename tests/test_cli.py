@@ -141,6 +141,23 @@ class TestExitCodes:
         assert "hidden" in payload["message"]
         assert not (w / "f.json").exists()
 
+    @pytest.mark.parametrize("config,name", [
+        ('{"input_dim": "2"}', "input_dim"),
+        ('{"num_classes": 2.5}', "num_classes"),
+        ('{"seed": "x"}', "seed"),
+    ], ids=["string-input-dim", "fractional-classes", "string-seed"])
+    def test_non_integer_model_size_is_two(self, workspace, capsys, config, name):
+        w = workspace
+        cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        code, _, err = run(capsys, "fisher", "--data", str(w / "d.jsonl"),
+                           "--model-config", config, "--out", str(w / "f.json"))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert f"{name} must be an integer" in payload["message"]
+        assert not (w / "f.json").exists()
+
     def test_constant_regression_labels_are_two(self, workspace, capsys):
         """A correlation metric is undefined on constant validation labels;
         the grid stops before any fine-tune step."""
@@ -167,6 +184,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("sparsity,samples,match", [
         ("0.3", "1", "at least 2 initial samples"),
         ("0.0002,0.0001", "32,16", "at least 2 parameters"),
+        ("0.3,0.1", "16,0", "sample levels must be at least 1"),
+        ("2,0.1", "16,4", "sparsity levels must be in (0, 1]"),
     ])
     def test_bad_ird_schedule_is_two_before_any_fine_tune(self, workspace, capsys,
                                                           monkeypatch, sparsity,

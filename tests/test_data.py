@@ -21,7 +21,7 @@ class TestLoadTsv:
                         "the movie was great\t\t1\n"
                         "dull and slow\t\t0\n"
                         "a fine cast\tgood script\t1\n")
-        ds = dio.load(path, "tsv", dim=64)
+        ds = dio.load(path, dim=64)
         assert len(ds) == 3
         assert ds.task == "binary" and ds.num_classes == 2
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
@@ -30,30 +30,30 @@ class TestLoadTsv:
     def test_feature_fixture(self, tmp_path):
         path = tmp_path / "feats.tsv"
         path.write_text("f0\tf1\tlabel\n0.5\t-1.25\t0\n1.0\t2.0\t1\n")
-        ds = dio.load(path, "tsv")
+        ds = dio.load(path)
         np.testing.assert_array_equal(ds.inputs, [[0.5, -1.25], [1.0, 2.0]])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            dio.load(path, "tsv")
+            dio.load(path)
 
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "ragged.tsv"
         path.write_text("f0\tf1\tlabel\n1.0\t2.0\t0\n1.0\t1\n")
         with pytest.raises(ValueError, match="line 3"):
-            dio.load(path, "tsv")
+            dio.load(path)
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("f0\tlabel\n1.0\t0\n2.0\twhat\n")
         with pytest.raises(ValueError, match="line 3.*what"):
-            dio.load(path, "tsv")
+            dio.load(path)
 
     def test_shipped_review_fixture_trains_end_to_end(self):
         """Text pairs hash-featurize into a learnable binary task."""
-        ds = dio.load(FIXTURES / "reviews.tsv", "tsv", dim=256)
+        ds = dio.load(FIXTURES / "reviews.tsv", dim=256)
         assert len(ds) == 12 and ds.task == "binary"
         assert np.bincount(ds.labels).tolist() == [6, 6]
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
@@ -71,7 +71,7 @@ class TestLoadTsv:
         for fmt in ("tsv", "jsonl"):
             path = tmp_path / f"round.{fmt}"
             dio.save(original, path, format=fmt)
-            again = dio.load(path, fmt)
+            again = dio.load(path)
             np.testing.assert_array_equal(again.inputs, original.inputs)
             np.testing.assert_array_equal(again.labels, original.labels)
 

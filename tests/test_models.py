@@ -50,6 +50,9 @@ class TestBuild:
         dict(kind="mlp", input_dim=4, hidden=8, num_classes=2),
         dict(kind="mlp", input_dim=4, hidden=["8"], num_classes=2),
         dict(kind="mlp", input_dim=4, hidden=[2.5], num_classes=2),
+        dict(kind="logreg", input_dim="2", num_classes=2),
+        dict(kind="logreg", input_dim=4, num_classes=2.5),
+        dict(kind="logreg", input_dim=4, num_classes=2, seed="x"),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -18,12 +18,17 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
 
 
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_tracing():
     """perfbench's tracer, with every module it lists imported, as the
     benchmark's workloads import them."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_module(TRACING)
     for name in module.FUNCTIONS:
         importlib.import_module(f"fishgrad.{name}")
     return module
@@ -60,17 +65,19 @@ def test_tracer_installs_and_uninstalls_cleanly():
 
 
 def test_every_workload_passes_its_check(tmp_path):
-    """One op of each workload, with one worker so nothing forks, passes the
-    workload's own check: an argument the benchmark passes that fishgrad no
-    longer takes fails here, not only in a benchmark run."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    for name, workload_class in module.WORKLOADS.items():
+    """One traced op of each workload, with one worker so nothing forks,
+    passes the workload's own check and scores its nominal rows, the count
+    ``perfbench/run.py --trace 1`` checks. An argument the benchmark passes
+    that fishgrad no longer takes, or a scorer argument the tracer binds by
+    name, fails here, not only in a benchmark run."""
+    tracing = load_tracing()
+    for name, workload_class in load_module(WORKLOADS).WORKLOADS.items():
         workload = workload_class()
         workdir = tmp_path / name
         workdir.mkdir()
         state = workload.setup(0, str(workdir))
         state.update(workers=1, threads="1")
-        out = workload.op(state, 0)
+        with tracing.Tracer().installed(fishgrad) as tracer:
+            out = workload.op(state, 0)
         assert workload.check(state, 0, out, True) == [], name
+        assert tracer.counts["fisher.rows_scored"] == workload.rows_per_op, name

@@ -83,31 +83,17 @@ class TestTraceShape:
         with pytest.raises(ValueError, match="at least 2 parameters"):
             sr.ird(blob_model, train, valid, np.arange(4), initial_k=1, cfg=quick_cfg())
 
-    @pytest.mark.parametrize("samples,masks,sizes", [
-        ([2, 1, 1, 1], [6, 4, 3, 2], ([4, 2, 1], [8, 6, 4])),  # samples reach 1 first
-        ([3, 2, 1], [2, 1, 1], ([4, 3, 2], [8, 2, 1])),        # the mask reaches 1 first
-    ], ids=["samples", "mask"])
-    def test_long_explicit_schedule_stops_at_one_element(self, blob_splits, blob_model,
-                                                         samples, masks, sizes):
-        train, valid = blob_splits
-        trace = sr.ird(blob_model, train, valid, np.arange(4), initial_k=8, cfg=quick_cfg(),
-                       sample_targets=samples, mask_targets=masks)
-        assert (trace.sample_sizes(), trace.mask_sizes()) == sizes
-
     @pytest.mark.parametrize("inverse,samples,masks", [
-        (False, [6, 3, 2, 1], [7, 4, 2, 1]),  # ceil halves of 11 and 13
-        (True, [5, 2, 1], [6, 3, 1]),         # floor halves
+        (False, [11, 6, 3, 2, 1], [13, 7, 4, 2, 1]),  # ceil halves of 11 and 13
+        (True, [11, 5, 2, 1], [13, 6, 3, 1]),         # floor halves
     ], ids=["forward", "inverse"])
     def test_default_schedule_is_the_explicit_halving_schedule(self, blob_splits, blob_model,
                                                                inverse, samples, masks):
         train, valid = blob_splits
-        x0 = np.arange(11)
-        default = sr.ird(blob_model, train, valid, x0, initial_k=13, cfg=quick_cfg(),
-                         inverse=inverse)
-        explicit = sr.ird(blob_model, train, valid, x0, initial_k=13, cfg=quick_cfg(),
-                          inverse=inverse, sample_targets=samples, mask_targets=masks)
-        assert len(default) == 2 * len(samples)
-        assert default.to_json() == explicit.to_json()
+        trace = sr.ird(blob_model, train, valid, np.arange(11), initial_k=13, cfg=quick_cfg(),
+                       inverse=inverse)
+        assert len(trace) == 2 * (len(samples) - 1)
+        assert (trace.sample_sizes(), trace.mask_sizes()) == (samples, masks)
 
     def test_tied_samples_go_to_the_lower_id_whatever_the_order_of_x0(self):
         """A zero-weight two-class MLP gives every row the same score, so the
@@ -524,6 +510,12 @@ class TestRunGrid:
         ("ird", (0.0002, 0.0001), (32, 16), "at least 2 parameters"),
         ("ird", (0.025, 0.005), (10_000, 16), "cannot draw"),
         ("fish_random", (0.025, 0.005), (10_000, 16), "cannot draw"),
+        *[(mode, sparsity, samples, match) for mode in ("ird", "fish_random")
+          for sparsity, samples, match in [((0.025, 0.005), (16, 0), "sample levels"),
+                                           ((0.025, 0.005), (16, -4), "sample levels"),
+                                           ((1.5, 0.005), (16, 4), "sparsity levels"),
+                                           ((0.025, 0.0), (16, 4), "sparsity levels"),
+                                           ((0.025, -0.1), (16, 4), "sparsity levels")]],
     ])
     def test_bad_schedules_fail_before_any_fine_tune(self, mode, sparsity, samples, match,
                                                      monkeypatch):
@@ -534,8 +526,8 @@ class TestRunGrid:
         passes = []
         monkeypatch.setattr(mz.DensePass, "loss_gradient", lambda *a: passes.append(a))
         monkeypatch.setattr(tr.ad, "loss_gradient", lambda *a: passes.append(a))
-        spec = sr.GridSpec(sparsity, samples, mode, (0, 1))
         with pytest.raises(ValueError, match=match):
+            spec = sr.GridSpec(sparsity, samples, mode, (0, 1))
             sr.run_grid(spec, task, mz.ModelSpec("mlp", input_dim=8, hidden=(400,),
                                                  num_classes=2), quick_cfg())
         assert passes == []

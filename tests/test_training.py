@@ -40,7 +40,7 @@ class TestAdamStep:
     def test_zero_gradient_leaves_params_unchanged(self):
         params = np.array([0.7, -0.3])
         state = tr.AdamState.for_size(2)
-        tr.adam_step(params, np.zeros(2), state, lr=0.1)
+        tr.adam_step(params, np.zeros(2), state, lr=0.1, selected=np.arange(2))
         np.testing.assert_array_equal(params, [0.7, -0.3])
 
     def test_hand_evaluated_first_step(self):
@@ -50,7 +50,8 @@ class TestAdamStep:
         v = (1 - b2) * 1.0
         expected = -lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
         params = np.array([0.0])
-        tr.adam_step(params, np.array([1.0]), tr.AdamState.for_size(1), lr=lr)
+        tr.adam_step(params, np.array([1.0]), tr.AdamState.for_size(1), lr=lr,
+                     selected=np.array([0]))
         assert params[0] == expected
         assert params[0] == pytest.approx(-1e-3, rel=1e-6)
 
@@ -58,7 +59,7 @@ class TestAdamStep:
         params = np.array([0.5, 0.5])
         state = tr.AdamState.for_size(2)
         for _ in range(3):
-            tr.adam_step(params, np.array([0.2, 0.2]), state, lr=0.01)
+            tr.adam_step(params, np.array([0.2, 0.2]), state, lr=0.01, selected=np.arange(2))
         assert params[0] == params[1]
 
 
@@ -276,10 +277,13 @@ class TestConfigValidation:
 
 def reference_fine_tune(model, selected, train, valid, cfg):
     """The full-model loop: every step runs ``ad.loss_gradient`` on the whole
-    model and every epoch scores the whole model with ``metrics.score``."""
+    model and every epoch scores the whole model with ``metrics.score``.
+    ``selected=None`` steps every coordinate."""
+    if selected is None:
+        selected = np.arange(model.num_params)
     metric = met.check_metric(cfg.metric, model, valid)
     rng = np.random.default_rng(cfg.seed)
-    state = tr.AdamState.for_size(model.num_params if selected is None else len(selected))
+    state = tr.AdamState.for_size(len(selected))
     losses, readings = [], []
     for epoch in range(cfg.max_epochs):
         perm = rng.permutation(len(train))
