@@ -363,7 +363,7 @@ def loss_gradient(model, X, y) -> tuple[float, np.ndarray]:
     """
     dense = model.dense_pass(X)
     if dense is not None:
-        return dense.loss_gradient(y)
+        return dense.loss_gradient(model.check_labels(y))
     tape = Tape()
     out = model.loss_mean(tape, X, y)
     return float(out.data), tape.gradient(1.0, output=out)

@@ -222,7 +222,10 @@ def _cmd_grid(args) -> int:
     started = time.time()
     dataset = dio.load(args.data)
     train_ds, valid_ds = _split(dataset, args)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers: {args.seeds!r}") from None
     spec = ird_mod.GridSpec(
         tuple(float(s) for s in args.sparsity_levels.split(",")),
         tuple(int(s) for s in args.sample_levels.split(",")),

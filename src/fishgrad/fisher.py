@@ -133,7 +133,7 @@ def _squared_blocks(model, X, y=None) -> list[tuple]:
             grads, p = _tape_rows(model, X, labels)
             layers = [(slice(0, model.num_params), None, np.ones((n, 1)), grads)]
         else:
-            layers = dense.factors(labels)
+            layers = dense.factors(model.check_labels(labels))
             p = None if cls is None else dense.probs[:, cls]
         squares = [g ** 2 if cls is None else p[:, None] * g ** 2 for *_, g in layers]
         total = squares if total is None else [acc + s for acc, s in zip(total, squares)]

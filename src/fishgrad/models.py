@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, asdict
-from functools import cached_property, reduce
 
 import numpy as np
 
@@ -202,7 +201,7 @@ class Model:
     def dense_pass(self, X) -> "DensePass | None":
         """Untaped forward pass over a batch, kept for batched per-example
         gradients; None when the model has no dense-layer factors."""
-        return DensePass(self, self._check_inputs(X)) if self.dense_layers() else None
+        return DensePass(self).run(self._check_inputs(X)) if self.dense_layers() else None
 
     # -- forward protocol (subclasses implement logits_tensor or predict) --
 
@@ -218,7 +217,7 @@ class Model:
         """Scalar mean cross-entropy over the batch."""
         bound = tape.bind(self.params)
         logits = self.logits_tensor(tape, bound, self._check_inputs(X))
-        return ad.nll(ad.log_softmax(logits), self._check_labels(y))
+        return ad.nll(ad.log_softmax(logits), self.check_labels(y))
 
     # -- plain numeric conveniences --
 
@@ -252,7 +251,8 @@ class Model:
                                    f"want (batch, {self.spec.input_dim}) inputs, got {X.shape}")
         return X
 
-    def _check_labels(self, y) -> np.ndarray:
+    def check_labels(self, y) -> np.ndarray:
+        """Class ids ``y`` as an int64 array, each in [0, num_classes)."""
         y = np.asarray(y, dtype=np.int64)
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.num_classes:
             raise ValueError(f"label out of range [0, {self.num_classes}): {y}")
@@ -355,7 +355,7 @@ class TinyAttention(Model):
         # No stack primitive in the op set: accumulate per-sequence scalar
         # losses with add and rescale by 1/B.
         X = self._check_inputs(X)
-        y = self._check_labels(y)
+        y = self.check_labels(y)
         bound = tape.bind(self.params)
         total = None
         for i in range(len(X)):
@@ -398,10 +398,14 @@ class LinearRegressor(Model):
     def dense_layers(self):
         return (("w", "b"),)
 
+    def check_labels(self, y) -> np.ndarray:
+        """Regression targets ``y`` as a float64 array."""
+        return np.asarray(y, dtype=np.float64)
+
     def loss_mean(self, tape, X, y) -> ad.Tensor:
         bound = tape.bind(self.params)
         pred = self._predict_tensor(tape, bound, self._check_inputs(X))
-        return ad.mse(pred, np.asarray(y, dtype=np.float64))
+        return ad.mse(pred, self.check_labels(y))
 
 
 def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -418,44 +422,59 @@ def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
 
 
 class DensePass:
-    """One forward pass through a stack of dense layers, recorded on no tape.
+    """Forward and backward passes through a stack of dense layers, recorded
+    on no tape.
 
-    It keeps each layer's input, so one batched backward pass gives either
+    A pass is built once for a parameter block: ``params``, the parameters
+    from layer ``start``'s weight on (the model's own by default). It holds
+    each layer's spans and weight and bias views into the block, which stay
+    live while the block is updated in place, and one gradient buffer.
+    ``run(X)`` then takes a batch through the layers from their input ``X``
+    and keeps each layer's input, so one batched backward pass gives either
     the per-example factors of log p(y|x) (``factors``: Goodfellow,
     "Efficient Per-Example Gradient Computations", arXiv:1510.01799) or the
     batch gradient of the mean training loss, A^T Delta per layer
     (``loss_gradient``). The arithmetic follows the tape's forward and
     backward rules op for op, so both match the tape byte for byte.
 
-    It runs layers ``start``.. over their input ``X`` with ``params``, the
-    parameters from layer ``start``'s weight on (the model's own by default).
     ``params`` may stack such blocks in a (jobs, parameters) array, with ``X``
     (jobs, rows, features): every array then gains a leading job axis, as
-    ``training`` uses to run several fine-tunes at once.
+    ``training`` uses to run several fine-tunes at once. The pass checks
+    neither inputs nor labels: ``Model.dense_pass`` checks the inputs, and
+    labels arrive as ``Model.check_labels`` returns them.
     """
 
-    def __init__(self, model: Model, X: np.ndarray, params: np.ndarray | None = None,
-                 start: int = 0):
+    def __init__(self, model: Model, params: np.ndarray | None = None, start: int = 0):
         self.model = model
-        self._names = names = model.dense_layers()[start:]
-        self._tanh = model.spec.activation == "tanh"
-        self._weights, self._inputs, self._spans = [], [], []
-        segment = model.params.segment
+        self._activation = model.spec.activation
+        names, segment = model.dense_layers()[start:], model.params.segment
         base = segment(names[0][0]).offset
         params = model.params.data[base:] if params is None else params
         lead = params.shape[:-1]
-        a = X
-        for i, (w, b) in enumerate(names):
+        self._grad = np.empty(params.shape)
+        # Per layer: the (weight, bias) spans in the block, and views of them
+        # in the block and in the gradient (splitting the last axis is always
+        # a view); the regressor's (d,) weight is one column.
+        self._spans, self._views, self._grads = [], [], []
+        for w, b in names:
             w, b = segment(w), segment(b)
-            # Spans in the trailing block; the regressor's (d,) weight is one column.
-            wi, bi = w.offset - base, b.offset - base
-            self._spans.append((slice(wi, wi + w.length), slice(bi, bi + b.length)))
-            W = params[..., wi:wi + w.length].reshape(*lead, w.shape[0], b.length)
-            bias = params[..., bi:bi + b.length].reshape(*lead, 1, b.length)
-            self._weights.append(W)
+            spans = (slice(w.offset - base, w.offset - base + w.length),
+                     slice(b.offset - base, b.offset - base + b.length))
+            shapes = (*lead, w.shape[0], b.length), (*lead, 1, b.length)
+            self._spans.append(spans)
+            self._views.append([params[..., s].reshape(h) for s, h in zip(spans, shapes)])
+            self._grads.append([self._grad[..., s].reshape(h) for s, h in zip(spans, shapes)])
+        self._row_offsets = np.empty(0, dtype=np.int64)  # of each row's first class
+
+    def run(self, X: np.ndarray) -> "DensePass":
+        """Take the batch ``X`` through the layers, in place of the last
+        batch, and return the pass."""
+        self._inputs, self._log_probs, a = [], None, X
+        for i, (W, bias) in enumerate(self._views):
             self._inputs.append(a)
-            a = _dense_layer(a, W, bias, model.spec.activation if i < len(names) - 1 else None)
+            a = _dense_layer(a, W, bias, self._activation if i < len(self._views) - 1 else None)
         self.output = a
+        return self
 
     @property
     def predictions(self) -> np.ndarray:
@@ -463,38 +482,50 @@ class DensePass:
         regressor's output."""
         return np.argmax(self.output, axis=-1) if self.model.is_classifier else self.output[..., 0]
 
-    @cached_property
+    @property
     def log_probs(self) -> np.ndarray:
-        """Log-softmax of a classifier's logits, as the tape computes it. The
-        max, and below 8 classes the sum, run class by class: faster on a short
-        class axis, and the same bytes, as numpy adds under 8 terms in order."""
-        out, classes = self.output, self.output.shape[-1]
-        shifted = out - reduce(np.maximum, [out[..., c] for c in range(classes)])[..., None]
-        exp = np.exp(shifted)
-        total = exp.sum(axis=-1) if classes >= 8 else sum(exp[..., c] for c in range(classes))
-        return shifted - np.log(total)[..., None]
+        """Log-softmax of a classifier's logits, as the tape computes it,
+        once per batch. The max, and below 8 classes the sum, run class by
+        class: faster on a short class axis, and the same bytes, as numpy
+        adds under 8 terms in order."""
+        if self._log_probs is None:
+            out, classes = self.output, self.output.shape[-1]
+            top = out[..., 0]
+            for c in range(1, classes):
+                top = np.maximum(top, out[..., c])
+            shifted = out - top[..., None]
+            exp = np.exp(shifted)
+            if classes >= 8:
+                total = exp.sum(axis=-1)
+            else:
+                total = exp[..., 0] + exp[..., 1]
+                for c in range(2, classes):
+                    total += exp[..., c]
+            self._log_probs = shifted - np.log(total)[..., None]
+        return self._log_probs
 
-    @cached_property
+    @property
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
 
-    def _backward(self, delta: np.ndarray):
-        """Yield (layer index, gradient at the layer's output), output layer
-        first, pulling ``delta`` back through every hidden activation."""
-        for i in range(len(self._names) - 1, -1, -1):
-            yield i, delta
-            if i:
-                # The activation's slope, read off its output: 1 - tanh^2, or
-                # relu's output > 0 exactly where its input is. In-place
-                # updates keep one (n x width) temporary alive, not three.
-                a = self._inputs[i]
-                if self._tanh:
-                    slope = a * a
-                    np.subtract(1.0, slope, out=slope)
-                else:
-                    slope = a > 0.0
-                delta = delta @ np.swapaxes(self._weights[i], -1, -2)
-                delta *= slope
+    def _deltas(self, delta: np.ndarray) -> list:
+        """The gradient at each layer's output, input side first, from
+        ``delta`` at the last: pulled back through every hidden activation."""
+        deltas = [delta]
+        for i in range(len(self._views) - 1, 0, -1):
+            # The activation's slope, read off its output: 1 - tanh^2, or
+            # relu's output > 0 exactly where its input is. In-place updates
+            # keep one (n x width) temporary alive, not three.
+            a = self._inputs[i]
+            if self._activation == "tanh":
+                slope = a * a
+                np.subtract(1.0, slope, out=slope)
+            else:
+                slope = a > 0.0
+            delta = delta @ np.swapaxes(self._views[i][0], -1, -2)
+            delta *= slope
+            deltas.append(delta)
+        return deltas[::-1]
 
     def factors(self, y) -> list[tuple]:
         """Per-example factors of log p(y_i | x_i) for class ids or regression
@@ -504,43 +535,45 @@ class DensePass:
         the weight span and Delta[i] on the bias span. The spans index the
         pass's parameter block: the whole vector, for a pass from layer 0."""
         if self.model.is_classifier:
-            y = self.model._check_labels(y)
             delta = -self.probs
             delta[np.arange(len(y)), y] += 1.0
         else:
-            delta = np.asarray(y, dtype=np.float64)[:, None] - self.output
-        return [(*self._spans[i], self._inputs[i], d) for i, d in self._backward(delta)][::-1]
+            delta = y[:, None] - self.output
+        return [(*spans, a, d) for spans, a, d in
+                zip(self._spans, self._inputs, self._deltas(delta))]
 
     def loss_gradient(self, y) -> tuple[float, np.ndarray]:
         """(mean training loss, its gradient over the pass's parameter
         block): cross-entropy for a classifier, squared error for the
         regressor. Like the tape, it forms no gradient toward the data matrix.
-        Stacked, ``y`` and the loss are per job."""
-        m = self.output.shape[-2]
+        Stacked, ``y`` and the loss are per job. The gradient is the pass's
+        buffer, which the next call overwrites. This is the batch's last
+        backward pass: it lets go of the layer inputs, so that the next
+        batch's arrays can take their memory while it is still in cache."""
+        out = self.output
+        m = out.shape[-2]
+        if y.shape != out.shape[:-1]:
+            op = "nll" if self.model.is_classifier else "mse"
+            raise ad.ShapeMismatch(op, f"{out.shape[:-1]} rows vs {y.shape} targets")
         if self.model.is_classifier:
-            y = self.model._check_labels(y)
-            if y.shape != self.output.shape[:-1]:
-                raise ad.ShapeMismatch("nll", f"{self.output.shape[:-1]} rows vs {y.shape} targets")
             # The tape's delta, g - p * sum(g) with g = -1/m at the label, is
             # p / m less 1/m at the label, byte for byte: sum(g) is -1/m.
-            at_label = np.arange(y.size) * self.output.shape[-1] + y.reshape(-1)
+            if len(self._row_offsets) < y.size:
+                self._row_offsets = np.arange(y.size) * out.shape[-1]
+            at_label = self._row_offsets[:y.size] + y.reshape(-1)
             value = -self.log_probs.reshape(-1)[at_label].reshape(y.shape).sum(axis=-1) / m
-            delta = self.probs * (1.0 / m)
+            delta = self.probs
+            delta *= 1.0 / m
             delta.reshape(-1)[at_label] -= 1.0 / m
         else:
-            y = np.asarray(y, dtype=np.float64)
-            if y.shape != self.output.shape[:-1]:
-                raise ad.ShapeMismatch("mse", f"pred {self.output.shape[:-1]} vs target {y.shape}")
-            diff = self.output[..., 0] - y
+            diff = out[..., 0] - y
             value = (diff * diff).sum(axis=-1) / m
             delta = (2.0 * diff * (1.0 / m))[..., None]
-        grad = np.zeros(value.shape + (self._spans[-1][1].stop,), dtype=np.float64)
-        for i, d in self._backward(delta):
-            w, b = self._spans[i]
-            out = grad[..., w].reshape(*value.shape, -1, d.shape[-1])
-            np.matmul(np.swapaxes(self._inputs[i], -1, -2), d, out=out)
-            grad[..., b] = d.sum(axis=-2)
-        return value, grad
+        for (grad_w, grad_b), a, d in zip(self._grads, self._inputs, self._deltas(delta)):
+            np.matmul(np.swapaxes(a, -1, -2), d, out=grad_w)
+            grad_b[..., 0, :] = d.sum(axis=-2)
+        self._inputs = None
+        return value, self._grad
 
 
 _CLASSES = {"logreg": LogReg, "mlp": MLP, "tiny_attention": TinyAttention,

@@ -232,6 +232,8 @@ class GridSpec:
         self.sparsity_levels = tuple(float(s) for s in self.sparsity_levels)
         self.sample_levels = tuple(int(n) for n in self.sample_levels)
         self.seeds = tuple(int(s) for s in self.seeds)
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers: {self.seeds}")
         for name, levels in (("sparsity", self.sparsity_levels),
                              ("sample", self.sample_levels)):
             if not levels:

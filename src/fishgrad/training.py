@@ -7,12 +7,15 @@ given, every index for dense training (no mask), and Adam's state is
 allocated only for those. Every fine-tune runs in one loop (``_run_jobs``)
 with one of two step sources: on a model with dense layers, jobs run the
 layers below k, the first their masks reach, once ahead of training and step
-layers k.. together (``_train_heads``); on tiny_attention, a job steps its
-whole model on the tape (``_train_model``). The loss is fixed by the model
-head (negative log-likelihood for classifiers, mean squared error for
-regressors). ``TrainConfig.metric`` is the one validation metric: it is read
-after every epoch, early stopping fires after ``patience`` epochs without a
-strictly better reading (but only once the best reading has cleared the stop
+layers k.. together (``_train_heads``), through one ``DensePass`` built over
+the group's parameter block and built again only when a job leaves, so a
+batch costs its gather, one forward and one backward pass, and an in-place
+optimizer step; on tiny_attention, a job steps its whole model on the tape
+(``_train_model``). The loss is fixed by the model head (negative
+log-likelihood for classifiers, mean squared error for regressors).
+``TrainConfig.metric`` is the one validation metric: it is read after every
+epoch, early stopping fires after ``patience`` epochs without a strictly
+better reading (but only once the best reading has cleared the stop
 threshold, so under-trained models keep going), and the last reading is the
 run's score.
 """
@@ -122,15 +125,27 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8, *,
               selected: np.ndarray) -> None:
     """Bias-corrected Adam update in place, restricted to ``selected``; it
-    advances the state's 1-based step count and uses it."""
+    advances the state's 1-based step count and uses it. The moments update
+    in place, through two temporaries, and every value is rounded as in the
+    textbook recurrence m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    params -= lr m_hat / (sqrt(v_hat) + eps)."""
     state.t += 1
     b1, b2 = betas
     g = grads[selected]
-    state.m = b1 * state.m + (1 - b1) * g
-    state.v = b2 * state.v + (1 - b2) * (g * g)
-    m_hat = state.m / (1 - b1 ** state.t)
-    v_hat = state.v / (1 - b2 ** state.t)
-    params[selected] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    step = g * g
+    step *= 1 - b2
+    state.v *= b2
+    state.v += step
+    g *= 1 - b1
+    state.m *= b1
+    state.m += g
+    np.divide(state.m, 1 - b1 ** state.t, out=step)  # m_hat
+    step *= lr
+    np.divide(state.v, 1 - b2 ** state.t, out=g)  # v_hat
+    np.sqrt(g, out=g)
+    g += eps
+    step /= g
+    params[selected] -= step
 
 
 def _check_mask(model, mask: Mask | None) -> np.ndarray:
@@ -172,11 +187,13 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
     ``block`` (jobs, parameters), the trailing parameters of ``models[j]``;
     configs differ at most in the seed. ``step(ids, block, check)`` gives
     each live job's loss and gradient on its training rows ``ids`` (jobs,
-    batch), or (None, None) if ``check`` (the first batch) fails, and
-    ``read(params)`` one thunk per row of a (jobs, parameters) block that
-    gives the job's validation reading. Returns each job's outcome, or None
-    after a failed check. A job leaves, its parameters written back, when it
-    stops early, diverges or reads an undefined metric."""
+    batch), or (None, None) if ``check`` (the first batch) fails; ``block``
+    stays one array, updated in place, until a job leaves, and the gradient
+    is read before the next step. ``read(params)`` gives one thunk per row
+    of a (jobs, parameters) block, the job's validation reading. Returns
+    each job's outcome, or None after a failed check. A job leaves, its
+    parameters written back, when it stops early, diverges or reads an
+    undefined metric."""
     cfg, n, size = cfgs[0], len(train_ds), cfgs[0].batch_size
     offset = models[0].num_params - block.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -251,7 +268,10 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
 def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
     """The stacked step source: jobs whose equal layers 0..k-1 are frozen
     (none, at k = 0) step layers k.. as a (jobs, parameters) block through
-    ``DensePass``. The frozen layers run once per split; a step gathers each
+    ``DensePass``. The frozen layers run once per split, and the labels are
+    checked once. The pass over the block, with its layer views and its
+    gradient buffer, is built at the first step and again only after a job
+    leaves, when ``_run_jobs`` hands over a new block. A step gathers each
     live job's own batch into a (jobs, batch, width) input (a short batch
     runs the frozen layers on the stacked rows). The first full batch is
     checked byte for byte against each job run alone: a sample that relies
@@ -263,21 +283,24 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
     offset = model.params.segment(model.dense_layers()[k][0]).offset
     rows = _frozen_rows(model, k, train_ds.inputs, size)
     valid_rows = model.layer_input(valid_ds.inputs, k)
+    labels = model.check_labels(train_ds.labels)
     lone = len(models) == 1
+    held, out = None, None  # the block the pass was built over, and the pass
 
     def step(ids, block, check):
-        nonlocal rows
+        nonlocal rows, held, out
+        if block is not held:  # the first step, or a job has left
+            held, out = block, mz.DensePass(model, block[0] if lone else block, k)
         own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
         if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
             rows = None  # per batch from now
-        sub, params = (ids[0], block[0]) if lone else (ids, block)
+        sub = ids[0] if lone else ids
         cached = rows is not None and ids.shape[1] == min(size, n)
         x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
-        out = mz.DensePass(model, x, params, k)
-        values, grads = out.loss_gradient(train_ds.labels[sub])
+        values, grads = out.run(x).loss_gradient(labels[sub])
         for j, own_params in enumerate(block if check and not lone else ()):
-            own = mz.DensePass(model, own_x[j], own_params, k)  # the job's pass run alone
-            value, grad = own.loss_gradient(train_ds.labels[ids[j]])
+            own = mz.DensePass(model, own_params, k).run(own_x[j])  # the job's pass run alone
+            value, grad = own.loss_gradient(labels[ids[j]])
             pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
                      (grad, grads[j])]
             if any(a.tobytes() != b.tobytes() for a, b in pairs):
@@ -285,7 +308,7 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
         return values.reshape(len(block)), grads.reshape(len(block), -1)
 
     def read(params):
-        preds = mz.DensePass(model, valid_rows, params, k).predictions
+        preds = mz.DensePass(model, params, k).run(valid_rows).predictions
         return [partial(met.evaluate, metric, p, valid_ds.labels) for p in preds]
 
     return _run_jobs(models, [s - offset for s in selections],

@@ -163,9 +163,9 @@ class TestDensePassMatchesTape:
         else:
             y = rng.integers(0, spec.num_classes, size=(3, 7))
         block = model.params.data + rng.normal(scale=0.1, size=(3, model.num_params))
-        values, grads = mz.DensePass(model, X, block).loss_gradient(y)
+        values, grads = mz.DensePass(model, block).run(X).loss_gradient(y)
         for j in range(3):
-            value, grad = mz.DensePass(model, X[j], block[j]).loss_gradient(y[j])
+            value, grad = mz.DensePass(model, block[j]).run(X[j]).loss_gradient(y[j])
             assert value.tobytes() == values[j].tobytes()
             assert grad.tobytes() == grads[j].tobytes()
 

@@ -204,20 +204,24 @@ class TestExitCodes:
         assert match in json.loads(err)["message"]
         assert not (w / "g.json").exists()
 
-    @pytest.mark.parametrize("config", [
-        '{"betas": [1.0, 0.999]}',
-        '{"betas": [0.9]}',
-        '{"batch_size": 2.5}',
-        '{"patience": 1.5}',
-        '{"seed": -1}',
-        '{"learning_rate": "0.1"}',
-        '{"stop_threshold": "x", "patience": 1}',
-        '{"stop_threshold": "x", "max_epochs": 2}',
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--config", '{"betas": [1.0, 0.999]}', "betas"),
+        ("--config", '{"betas": [0.9]}', "betas"),
+        ("--config", '{"batch_size": 2.5}', "batch_size"),
+        ("--config", '{"patience": 1.5}', "patience"),
+        ("--config", '{"seed": -1}', "seed"),
+        ("--config", '{"learning_rate": "0.1"}', "learning_rate"),
+        ("--config", '{"stop_threshold": "x", "patience": 1}', "stop_threshold"),
+        ("--config", '{"stop_threshold": "x", "max_epochs": 2}', "stop_threshold"),
+        ("--seeds", "-1", "seeds must be non-negative integers: (-1,)"),
+        ("--seeds", "1,x", "--seeds must be comma-separated integers: '1,x'"),
     ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
             "negative-seed", "string-learning-rate", "string-threshold",
-            "string-threshold-few-epochs"])
+            "string-threshold-few-epochs", "negative-master-seed", "non-integer-master-seed"])
     def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
-                                                    config):
+                                                    flag, value, named):
+        """A bad training setting or master seed fails before any step, with
+        a message that names it."""
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
@@ -228,9 +232,10 @@ class TestExitCodes:
             monkeypatch.setattr(tr, name, no_step)
         code, _, err = run(capsys, "grid", "--data", str(w / "d.jsonl"),
                            "--sparsity-levels", "0.3", "--sample-levels", "4",
-                           "--config", config, "--out", str(w / "g.json"))
+                           flag, value, "--out", str(w / "g.json"))
         assert code == 2
         assert json.loads(err)["error"] == "ValueError"
+        assert named in json.loads(err)["message"]
         assert not (w / "g.json").exists()
 
     def test_grid_metric_comes_from_config(self, workspace, capsys):

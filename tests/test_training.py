@@ -1,5 +1,7 @@
 """Masked training: frozen coordinates, optimizer arithmetic, early stop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,37 @@ class TestAdamStep:
         for _ in range(3):
             tr.adam_step(params, np.array([0.2, 0.2]), state, lr=0.01, selected=np.arange(2))
         assert params[0] == params[1]
+
+    def test_matches_textbook_recurrence_byte_for_byte(self):
+        """25 steps against the recurrence written out coordinate by
+        coordinate in Python floats, with random gradients, non-default
+        betas and eps and a strict subset selected; the rest never moves.
+        The parameters start near zero, so that a last-bit change in an
+        update, such as lr (m_hat / d) for (lr m_hat) / d, shows in them."""
+        rng = np.random.default_rng(3)
+        lr, (b1, b2), eps = 3e-3, (0.8, 0.95), 1e-6
+        params = rng.normal(scale=1e-3, size=12)
+        start = params.copy()
+        selected = np.array([0, 2, 3, 7, 11])
+        state = tr.AdamState.for_size(len(selected))
+        theta = [float(params[i]) for i in selected]
+        m, v = [0.0] * len(selected), [0.0] * len(selected)
+        for t in range(1, 26):
+            grads = rng.normal(scale=2.0, size=12)
+            tr.adam_step(params, grads, state, lr, (b1, b2), eps, selected=selected)
+            for c, i in enumerate(selected):
+                g = float(grads[i])
+                m[c] = b1 * m[c] + (1 - b1) * g
+                v[c] = b2 * v[c] + (1 - b2) * (g * g)
+                m_hat = m[c] / (1 - b1 ** t)
+                v_hat = v[c] / (1 - b2 ** t)
+                theta[c] -= lr * m_hat / (math.sqrt(v_hat) + eps)
+            assert params[selected].tobytes() == np.array(theta).tobytes()
+            assert (state.m.tobytes(), state.v.tobytes()) == (np.array(m).tobytes(),
+                                                              np.array(v).tobytes())
+        assert state.t == 25
+        unselected = np.setdiff1d(np.arange(12), selected)
+        assert params[unselected].tobytes() == start[unselected].tobytes()
 
 
 class TestEarlyStop:
@@ -570,6 +603,29 @@ class TestGroupLoop:
             assert model.params.data.tobytes() == solo.params.data.tobytes()
             assert model.params.data.tobytes() == ref.params.data.tobytes()
         return outcomes, seen
+
+    def test_passes_are_built_per_group_not_per_batch(self, monkeypatch):
+        """A group builds its ``DensePass`` once, one per job for the
+        first-batch check and one per epoch for the validation read (a job
+        that left before the last epoch would add one): 10 for 7 jobs over 2
+        epochs of 10 batches, not one per batch."""
+        built = []
+        real_init = mz.DensePass.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mz.DensePass, "__init__", spy)
+        train, valid = blob_task(seed=2)
+        assert len(train) == 160
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
+        models = [mz.build(spec) for _ in range(7)]
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16, seed=s)
+                for s in range(7)]
+        outcomes = tr.train_group(models, [output_mask(models[0], 1)] * 7, train, valid, cfgs)
+        assert [o.epochs_run for o in outcomes] == [2] * 7
+        assert len(built) == 1 + 7 + 2
 
     def test_xor_head_with_a_short_last_batch(self, monkeypatch):
         """The acceptance xor task's 8-400-2 head at batch 32: 450 training
