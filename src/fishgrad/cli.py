@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import __version__
 from . import data as dio
@@ -26,6 +26,7 @@ from . import search as ird_mod
 from . import models as mz
 from . import report as rep
 from . import training as tr
+from ._check import integer
 from .fileio import write_atomic
 
 
@@ -81,15 +82,27 @@ def _load_json_arg(value: str | None) -> dict:
     return parsed
 
 
-def _train_config(overrides: dict, seed: int | None) -> tr.TrainConfig:
-    known = {f for f in tr.TrainConfig.__dataclass_fields__}
-    unknown = set(overrides) - known
+def _from_json(cls, flag: str, fields: dict):
+    """``cls(**fields)``; a key that is not a field of ``cls`` fails, named with its flag."""
+    unknown = sorted(set(fields) - set(cls.__dataclass_fields__))
     if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    cfg = tr.TrainConfig(**overrides)
-    if seed is not None and "seed" not in overrides:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+        raise ValueError(f"unknown {flag} keys: {unknown}")
+    return cls(**fields)
+
+
+def _numbers(text: str, flag: str, kind=float) -> tuple:
+    """A comma-separated flag value as ``kind`` values, or an error naming the flag."""
+    try:
+        return tuple(kind(s) for s in text.split(","))
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {noun}: {text!r}") from None
+
+
+def _train_config(overrides: dict, seed: int | None) -> tr.TrainConfig:
+    if seed is not None:
+        overrides = {"seed": seed, **overrides}
+    return _from_json(tr.TrainConfig, "--config", overrides)
 
 
 def _model_for_data(config: dict, dataset: dio.Dataset, seed: int | None) -> mz.Model:
@@ -104,7 +117,7 @@ def _model_for_data(config: dict, dataset: dio.Dataset, seed: int | None) -> mz.
     cfg.setdefault("input_dim", dataset.dim)
     if seed is not None:
         cfg.setdefault("seed", seed)
-    return mz.build(mz.ModelSpec(**cfg))
+    return mz.build(_from_json(mz.ModelSpec, "--model-config", cfg))
 
 
 def _resolve_model(args, dataset: dio.Dataset) -> mz.Model:
@@ -222,14 +235,9 @@ def _cmd_grid(args) -> int:
     started = time.time()
     dataset = dio.load(args.data)
     train_ds, valid_ds = _split(dataset, args)
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-    except ValueError:
-        raise ValueError(f"--seeds must be comma-separated integers: {args.seeds!r}") from None
-    spec = ird_mod.GridSpec(
-        tuple(float(s) for s in args.sparsity_levels.split(",")),
-        tuple(int(s) for s in args.sample_levels.split(",")),
-        _MODE_ALIASES[args.mode], seeds)
+    spec = ird_mod.GridSpec(_numbers(args.sparsity_levels, "--sparsity-levels"),
+                            _numbers(args.sample_levels, "--sample-levels", int),
+                            _MODE_ALIASES[args.mode], _numbers(args.seeds, "--seeds", int))
     model_cfg = _load_json_arg(args.model_config)
     probe = _model_for_data(model_cfg, dataset, args.seed)
     cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), args.seed))
@@ -372,6 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
+        integer("--seed", args.seed or 0, 0)  # every subcommand takes --seed
         return args.fn(args)
     except UsageError as exc:
         _emit_error("usage", str(exc))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._check import integer, real
 from .fileio import write_atomic
 
 TASKS = ("binary", "multiclass", "regression")
@@ -78,16 +79,13 @@ class SyntheticSpec:
     vocab: int = 64      # token_topic only
     seq_len: int = 8     # token_topic only
 
-
-def _validate_spec(spec: SyntheticSpec) -> None:
-    if spec.generator not in GENERATORS:
-        raise ValueError(f"unknown generator {spec.generator!r}")
-    if spec.n < 4:
-        raise ValueError(f"need n >= 4, got {spec.n}")
-    if spec.noise < 0:
-        raise ValueError(f"noise must be >= 0, got {spec.noise}")
-    if spec.dims < 1 or spec.classes < 2:
-        raise ValueError(f"bad dims/classes: {spec.dims}/{spec.classes}")
+    def __post_init__(self):
+        if self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}")
+        for name, least in (("n", 4), ("dims", 1), ("classes", 2), ("seed", 0),
+                            ("vocab", 1), ("seq_len", 1)):
+            integer(name, getattr(self, name), least)
+        real("noise", self.noise, "[0, inf)")
 
 
 def _balanced_labels(n: int, classes: int, rng) -> np.ndarray:
@@ -100,7 +98,6 @@ def _balanced_labels(n: int, classes: int, rng) -> np.ndarray:
 
 def generate(spec: SyntheticSpec) -> Dataset:
     """Build one of the synthetic tasks, bit-deterministic per seed."""
-    _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     if spec.generator == "gaussian_blobs":
         # Class means sit on a radius-2 sphere; isotropic Gaussian noise.
@@ -145,9 +142,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
 def split(dataset: Dataset, fractions, seed: int) -> list[Dataset]:
     """Seeded shuffle then partition; parts are disjoint and covering."""
-    fractions = [float(f) for f in fractions]
-    if any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be positive, got {fractions}")
+    fractions = [float(real("fractions", f, "(0, 1]")) for f in fractions]
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = len(dataset)
@@ -159,8 +154,8 @@ def split(dataset: Dataset, fractions, seed: int) -> list[Dataset]:
 
 def train_valid_split(dataset: Dataset, valid_fraction: float = 0.2,
                       seed: int = 0) -> tuple[Dataset, Dataset]:
-    train, valid = split(dataset, (1.0 - valid_fraction, valid_fraction), seed)
-    return train, valid
+    real("valid_fraction", valid_fraction, "(0, 1)")
+    return tuple(split(dataset, (1.0 - valid_fraction, valid_fraction), seed))
 
 
 # ---------------------------------------------------------------------------

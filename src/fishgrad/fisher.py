@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from ._check import integer, real
 
 
 @dataclass
@@ -88,8 +89,7 @@ class Mask:
 
 def mask_size(sparsity: float, num_params: int) -> int:
     """k = max(1, round-half-up(sparsity * num_params))."""
-    if not 0.0 < sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in (0, 1], got {sparsity}")
+    real("sparsity", sparsity, "(0, 1]")
     return max(1, int(math.floor(sparsity * num_params + 0.5)))
 
 
@@ -219,7 +219,7 @@ def top_k_within(fisher_values: np.ndarray, candidates: np.ndarray, k: int,
 
 def random_mask(num_params: int, sparsity: float, seed: int) -> Mask:
     """Uniform without-replacement baseline mask, deterministic per seed."""
-    k = mask_size(sparsity, num_params)
+    k = mask_size(sparsity, integer("num_params", num_params, 1))
     rng = np.random.default_rng(seed)
     selected = np.sort(rng.choice(num_params, size=k, replace=False))
     return Mask(selected, sparsity, num_params)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
+from ._check import integer
 from .fileio import write_atomic
 
 
@@ -99,10 +99,6 @@ class ParamVector:
 KINDS = ("logreg", "mlp", "tiny_attention", "linear_regressor")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture + init seed. ``num_classes=0`` marks a scalar-output
@@ -123,25 +119,17 @@ class ModelSpec:
         ``hidden`` as a list of widths; it is kept as a tuple, so hashable."""
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        for name in ("input_dim", "num_classes", "seed", "embed_dim", "max_len"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.hidden, (list, tuple)) or not all(
-                _is_int(h) and h > 0 for h in self.hidden):
+        regressor = self.kind == "linear_regressor"
+        for name, least in (("input_dim", 1), ("num_classes", 0 if regressor else 2),
+                            ("seed", 0), ("embed_dim", 1), ("max_len", 1)):
+            integer(name, getattr(self, name), least)
+        if regressor and self.num_classes != 0:
+            raise ValueError("linear_regressor is scalar-output; set num_classes=0")
+        if not isinstance(self.hidden, (list, tuple)):
             raise ValueError(f"hidden must be a list of positive widths, got {self.hidden!r}")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.input_dim <= 0:
-            raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        if self.kind == "linear_regressor":
-            if self.num_classes != 0:
-                raise ValueError("linear_regressor is scalar-output; set num_classes=0")
-        elif self.num_classes < 2:
-            raise ValueError(f"classifiers need num_classes >= 2, got {self.num_classes}")
-        if self.kind == "tiny_attention":
-            if self.embed_dim <= 0 or self.embed_dim > 32:
-                raise ValueError(f"embed_dim must be in (0, 32], got {self.embed_dim}")
-            if self.max_len <= 0:
-                raise ValueError(f"max_len must be positive, got {self.max_len}")
+        object.__setattr__(self, "hidden", tuple(integer("hidden", h, 1) for h in self.hidden))
+        if self.kind == "tiny_attention" and self.embed_dim > 32:
+            raise ValueError(f"embed_dim must be in (0, 32], got {self.embed_dim}")
         if self.activation not in ("tanh", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import models as mz
 from . import training as tr
+from ._check import integer, real
 from .fileio import write_atomic
 from .fisher import (Mask, SampleSubset, empirical_fisher, mask_size,
                      sample_scores, top_k_mask, top_k_within)
@@ -229,21 +230,16 @@ class GridSpec:
     seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        self.sparsity_levels = tuple(float(s) for s in self.sparsity_levels)
-        self.sample_levels = tuple(int(n) for n in self.sample_levels)
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if any(s < 0 for s in self.seeds):
-            raise ValueError(f"seeds must be non-negative integers: {self.seeds}")
+        self.sparsity_levels = tuple(float(real("sparsity levels", s, "(0, 1]"))
+                                     for s in self.sparsity_levels)
+        self.sample_levels = tuple(int(integer("sample levels", n, 1)) for n in self.sample_levels)
+        self.seeds = tuple(int(integer("seeds", s, 0)) for s in self.seeds)
         for name, levels in (("sparsity", self.sparsity_levels),
                              ("sample", self.sample_levels)):
             if not levels:
                 raise ValueError(f"{name} levels must be nonempty")
             if any(b >= a for a, b in zip(levels, levels[1:])):
                 raise ValueError(f"{name} levels must be strictly decreasing: {levels}")
-        if not all(0 < s <= 1 for s in self.sparsity_levels):
-            raise ValueError(f"sparsity levels must be in (0, 1]: {self.sparsity_levels}")
-        if self.sample_levels[-1] < 1:
-            raise ValueError(f"sample levels must be at least 1: {self.sample_levels}")
         if len(self.sparsity_levels) != len(self.sample_levels):
             raise ValueError("staircase needs axes of equal length")
         if self.mode not in MODES:
@@ -349,7 +345,7 @@ class Task:
 
 
 def _draw_ids(n_total: int, n_draw: int, seed: int) -> np.ndarray:
-    if n_draw > n_total:
+    if integer("samples", n_draw, 1) > n_total:
         raise ValueError(f"cannot draw {n_draw} samples from {n_total}")
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n_total, size=n_draw, replace=False))
@@ -374,8 +370,7 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
     seed derived from both.
     """
     cfg = cfg or IRDConfig()
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    integer("max_workers", max_workers, 1)
     plans = []
     for seed in spec.seeds:
         model = mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))

@@ -22,8 +22,6 @@ run's score.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, astuple, dataclass, replace
 from functools import partial
 
@@ -32,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics as met
 from . import models as mz
+from ._check import integer, real
 from .fisher import Mask
 
 
@@ -60,21 +59,14 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("learning_rate", "eps", "stop_threshold"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        real("learning_rate", self.learning_rate, "(0, inf)")
+        real("eps", self.eps, "(0, inf)")
+        real("stop_threshold", self.stop_threshold, "(-inf, inf)")
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        betas = tuple(self.betas) if isinstance(self.betas, (tuple, list)) else ()
-        if len(betas) != 2 or not all(isinstance(b, numbers.Real) and 0 <= b < 1 for b in betas):
+            integer(name, getattr(self, name), least)
+        if not isinstance(self.betas, (tuple, list)) or len(self.betas) != 2:
             raise ValueError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
-        self.betas = betas
+        self.betas = tuple(real("betas", b, "[0, 1)") for b in self.betas)
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.metric != "auto" and self.metric not in met.METRICS:

@@ -141,12 +141,12 @@ class TestExitCodes:
         assert "hidden" in payload["message"]
         assert not (w / "f.json").exists()
 
-    @pytest.mark.parametrize("config,name", [
-        ('{"input_dim": "2"}', "input_dim"),
-        ('{"num_classes": 2.5}', "num_classes"),
-        ('{"seed": "x"}', "seed"),
+    @pytest.mark.parametrize("config,named", [
+        ('{"input_dim": "2"}', "input_dim must be at least 1 and an integer"),
+        ('{"num_classes": 2.5}', "num_classes must be at least 2 and an integer"),
+        ('{"seed": "x"}', "seed must be at least 0 and an integer"),
     ], ids=["string-input-dim", "fractional-classes", "string-seed"])
-    def test_non_integer_model_size_is_two(self, workspace, capsys, config, name):
+    def test_non_integer_model_size_is_two(self, workspace, capsys, config, named):
         w = workspace
         cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
                   "--out", str(w / "d.jsonl")])
@@ -155,8 +155,25 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
-        assert f"{name} must be an integer" in payload["message"]
+        assert named in payload["message"]
         assert not (w / "f.json").exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["gen-data", "--noise", "nan"], "noise must be in [0, inf), got nan"),
+        (["fisher", "--samples", "-3"], "samples must be at least 1 and an integer, got -3"),
+        (["fisher", "--seed", "-1"], "--seed must be at least 0 and an integer, got -1"),
+        (["mask", "--random", "--num-params", "-5", "--sparsity", "0.1"],
+         "num_params must be at least 1 and an integer, got -5"),
+    ], ids=["nan-noise", "negative-samples", "negative-seed", "negative-num-params"])
+    def test_bad_number_is_two_with_no_output(self, workspace, capsys, argv, named):
+        w = workspace
+        cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        data = ["--data", str(w / "d.jsonl")] if argv[0] == "fisher" else []
+        code, _, err = run(capsys, *argv, *data, "--out", str(w / "out.json"))
+        assert code == 2
+        assert named in json.loads(err)["message"]
+        assert not (w / "out.json").exists()
 
     def test_constant_regression_labels_are_two(self, workspace, capsys):
         """A correlation metric is undefined on constant validation labels;
@@ -213,14 +230,27 @@ class TestExitCodes:
         ("--config", '{"learning_rate": "0.1"}', "learning_rate"),
         ("--config", '{"stop_threshold": "x", "patience": 1}', "stop_threshold"),
         ("--config", '{"stop_threshold": "x", "max_epochs": 2}', "stop_threshold"),
-        ("--seeds", "-1", "seeds must be non-negative integers: (-1,)"),
+        ("--seeds", "-1", "seeds must be at least 0 and an integer, got -1"),
         ("--seeds", "1,x", "--seeds must be comma-separated integers: '1,x'"),
+        ("--config", '{"batch_size": true}', "batch_size"),
+        ("--config", '{"stop_threshold": NaN}', "stop_threshold"),
+        ("--config", '{"learning_rate": Infinity}', "learning_rate"),
+        ("--model-config", '{"foo": 1}', "unknown --model-config keys: ['foo']"),
+        ("--model-config", '{"seed": -1}', "seed must be at least 0"),
+        ("--valid-fraction", "nan", "valid_fraction"),
+        ("--seeds", "0,2.5", "--seeds must be comma-separated integers: '0,2.5'"),
+        ("--sparsity-levels", "0.3,x", "--sparsity-levels must be comma-separated numbers"),
+        ("--sample-levels", "4,x", "--sample-levels must be comma-separated integers"),
+        ("--sample-levels", "16.7,4", "--sample-levels must be comma-separated integers"),
     ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
             "negative-seed", "string-learning-rate", "string-threshold",
-            "string-threshold-few-epochs", "negative-master-seed", "non-integer-master-seed"])
+            "string-threshold-few-epochs", "negative-master-seed", "non-integer-master-seed",
+            "bool-batch", "nan-threshold", "inf-learning-rate", "unknown-model-key",
+            "negative-model-seed", "nan-valid-fraction", "fractional-master-seed",
+            "string-sparsity-level", "string-sample-level", "fractional-sample-level"])
     def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
                                                     flag, value, named):
-        """A bad training setting or master seed fails before any step, with
+        """A bad training, model or grid setting fails before any step, with
         a message that names it."""
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")

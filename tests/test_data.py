@@ -1,5 +1,6 @@
 """Loaders, featurization, splits and synthetic generators."""
 
+import math
 import os
 from pathlib import Path
 
@@ -218,15 +219,25 @@ class TestGenerate:
         counts = np.bincount(ds.labels)
         np.testing.assert_array_equal(counts, [30, 30, 30])
 
+    # The last key of each spec is the field at fault.
     @pytest.mark.parametrize("kwargs", [
-        dict(generator="nope", n=10),
+        dict(n=10, generator="nope"),
         dict(generator="gaussian_blobs", n=3),
         dict(generator="gaussian_blobs", n=10, noise=-1.0),
         dict(generator="gaussian_blobs", n=10, classes=1),
+        # Every numeric field: a bool, a string, NaN, inf and a value below its
+        # bound; a fraction for the integers.
+        *[{"generator": "gaussian_blobs", "n": 10, name: bad}
+          for name, least in (("n", 4), ("dims", 1), ("classes", 2), ("seed", 0),
+                              ("vocab", 1), ("seq_len", 1))
+          for bad in (True, 2.5, "x", math.nan, math.inf, least - 1)],
+        *[dict(generator="gaussian_blobs", n=10, noise=bad)
+          for bad in (True, "x", math.nan, math.inf)],
     ])
     def test_invalid_specs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            dio.generate(dio.SyntheticSpec(**{"dims": 2, **kwargs}))
+        """A bad spec fails when it is built, naming the field."""
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
+            dio.SyntheticSpec(**{"dims": 2, **kwargs})
 
 
 class TestSplit:
@@ -265,7 +276,10 @@ class TestSplit:
 
     def test_bad_fractions_rejected(self):
         ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=10, dims=2, seed=0))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"fractions must be in \(0, 1\]"):
             dio.split(ds, (1.2, -0.2), seed=0)
         with pytest.raises(ValueError, match="sum"):
             dio.split(ds, (0.5, 0.2), seed=0)
+        for bad in (math.nan, True, 0.0, 1.0):
+            with pytest.raises(ValueError, match=r"valid_fraction must be in \(0, 1\)"):
+                dio.train_valid_split(ds, bad)

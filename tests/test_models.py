@@ -41,21 +41,30 @@ class TestBuild:
         model = mz.build(mz.ModelSpec("logreg", input_dim=16, num_classes=2, seed=5))
         assert np.abs(model.params.view("W")).max() <= 1 / math.sqrt(16)
 
+    # The last key of each spec is the field at fault.
     @pytest.mark.parametrize("bad", [
-        dict(kind="logreg", input_dim=0, num_classes=2),
+        dict(kind="logreg", num_classes=2, input_dim=0),
         dict(kind="logreg", input_dim=4, num_classes=1),
-        dict(kind="mlp", input_dim=4, hidden=(0,), num_classes=2),
+        dict(kind="mlp", input_dim=4, num_classes=2, hidden=(0,)),
         dict(kind="linear_regressor", input_dim=3, num_classes=2),
-        dict(kind="nope", input_dim=3, num_classes=2),
-        dict(kind="mlp", input_dim=4, hidden=8, num_classes=2),
-        dict(kind="mlp", input_dim=4, hidden=["8"], num_classes=2),
-        dict(kind="mlp", input_dim=4, hidden=[2.5], num_classes=2),
-        dict(kind="logreg", input_dim="2", num_classes=2),
+        dict(input_dim=3, num_classes=2, kind="nope"),
+        dict(kind="mlp", input_dim=4, num_classes=2, hidden=8),
+        dict(kind="mlp", input_dim=4, num_classes=2, hidden=["8"]),
+        dict(kind="mlp", input_dim=4, num_classes=2, hidden=[2.5]),
+        dict(kind="logreg", num_classes=2, input_dim="2"),
         dict(kind="logreg", input_dim=4, num_classes=2.5),
         dict(kind="logreg", input_dim=4, num_classes=2, seed="x"),
+        # Every integer field: a bool, a fraction, a string, NaN, inf and a
+        # value below its bound (the same cases for each hidden width).
+        *[{"kind": "tiny_attention", "input_dim": 8, name: bad}
+          for name, least in (("input_dim", 1), ("num_classes", 2), ("seed", 0),
+                              ("embed_dim", 1), ("max_len", 1))
+          for bad in (True, 2.5, "x", math.nan, math.inf, least - 1)],
+        *[dict(kind="mlp", input_dim=4, hidden=(8, bad)) for bad in (True, "x", math.nan, math.inf)],
+        dict(kind="tiny_attention", input_dim=8, embed_dim=33),
     ])
     def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=list(bad)[-1]):
             mz.build(mz.ModelSpec(**bad))
 
 

@@ -516,6 +516,11 @@ class TestRunGrid:
                                            ((1.5, 0.005), (16, 4), "sparsity levels"),
                                            ((0.025, 0.0), (16, 4), "sparsity levels"),
                                            ((0.025, -0.1), (16, 4), "sparsity levels")]],
+        # A level that is a bool, a string, NaN or inf, or a fractional sample level.
+        *[("ird", (bad, 0.005), (16, 4), "sparsity levels")
+          for bad in (True, "x", math.nan, math.inf)],
+        *[("ird", (0.025, 0.005), (16, bad), "sample levels")
+          for bad in (True, 2.5, "x", math.nan, math.inf)],
     ])
     def test_bad_schedules_fail_before_any_fine_tune(self, mode, sparsity, samples, match,
                                                      monkeypatch):

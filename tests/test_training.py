@@ -296,9 +296,17 @@ class TestConfigValidation:
         dict(eps="1e-8"),
         dict(stop_threshold="x"),
         dict(stop_threshold=None),
+        # Every numeric field: a bool, a string, NaN and inf; a fraction for
+        # the integers. Each bound below is already a case above.
+        *[{name: bad} for name in ("learning_rate", "eps", "stop_threshold", "batch_size",
+                                   "max_epochs", "patience", "seed")
+          for bad in (True, "x", math.nan, math.inf)],
+        *[{name: 2.5} for name in ("max_epochs", "patience", "seed")],
+        dict(betas=(False, 0.999)),
+        dict(betas=(0.9, "x")),
     ])
     def test_bad_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             tr.TrainConfig(**kwargs)
 
     def test_edge_values_accepted(self):
@@ -306,6 +314,7 @@ class TestConfigValidation:
         assert cfg.betas == (0.0, 0.0)
         assert tr.TrainConfig(betas=(np.float64(0.5), 0.25)).betas == (0.5, 0.25)
         tr.TrainConfig(learning_rate=1, eps=np.float64(1e-6), stop_threshold=np.float32(0.5))
+        assert tr.TrainConfig(stop_threshold=-1).stop_threshold == -1
 
 
 def reference_fine_tune(model, selected, train, valid, cfg):
