@@ -1,0 +1,100 @@
+"""The determinism contract for the dense models, as sha256 digests.
+
+``matrix()`` computes every digest on tiny seeded tasks:
+
+- the ``result`` block of one staircase grid per model, mode and optimizer;
+- on each model's fine-tuned snapshot, the bytes of ``empirical_fisher``,
+  ``expectation_fisher`` (classifiers only) and ``sample_scores``, and the
+  payload of its checkpoint (the float64 values after the header line).
+
+``tests/test_digests.py`` compares it with ``tests/fixtures/digests.json``.
+Running this file rewrites that fixture:
+
+    PYTHONPATH=src python tests/digest_matrix.py
+
+Bytes depend on the BLAS kernels, so the fixture records the numpy version
+and BLAS it was written on, and the test compares only on that stack. A
+change that rewrites the fixture names the digests that moved and why.
+"""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from fishgrad import data as dio
+from fishgrad import fisher as fi
+from fishgrad import models as mz
+from fishgrad import search
+from fishgrad import training as tr
+
+FIXTURE = Path(__file__).with_name("fixtures") / "digests.json"
+
+# name: (model spec fields, generator and classes of its task)
+MODELS = {
+    "logreg": (dict(kind="logreg", num_classes=3), ("gaussian_blobs", 3)),
+    "mlp_tanh": (dict(kind="mlp", hidden=(6,), num_classes=2), ("xor_ring", 2)),
+    "mlp_relu2": (dict(kind="mlp", hidden=(6, 5), num_classes=3, activation="relu"),
+                  ("gaussian_blobs", 3)),
+    "linear_regressor": (dict(kind="linear_regressor", num_classes=0),
+                         ("linear_regression", 2)),
+}
+CONFIGS = {"adam": tr.TrainConfig("adam", 0.05, batch_size=8, max_epochs=3, patience=2),
+           "sgd": tr.TrainConfig("sgd", 0.1, batch_size=8, max_epochs=3, patience=2)}
+
+
+def stack() -> dict:
+    """The numpy version and BLAS the bytes were computed with, named as
+    ``perfbench/run.py`` names them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def _sha(data) -> str:
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _checkpoint_payload(model, tmp: Path) -> bytes:
+    path = tmp / "model.ckpt"
+    mz.save_checkpoint(model, path)
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+def matrix() -> dict[str, str]:
+    """Every digest of the contract, keyed ``model/what``."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (fields, (generator, classes)) in MODELS.items():
+            spec = mz.ModelSpec(input_dim=4, seed=3, **fields)
+            ds = dio.generate(dio.SyntheticSpec(generator, 48, dims=4, classes=classes,
+                                                noise=0.4, seed=7))
+            task = search.Task(*dio.train_valid_split(ds, 0.25, seed=1))
+            for opt, cfg in CONFIGS.items():
+                for mode in search.MODES:
+                    grid = search.GridSpec((0.6, 0.3, 0.15), (16, 8, 4), mode, (0,))
+                    result = search.run_grid(grid, task, spec, search.IRDConfig(cfg, seed=5))
+                    out[f"{name}/grid/{mode}/{opt}"] = _sha(
+                        json.dumps(result.to_json(), sort_keys=True).encode())
+            model = mz.build(spec)
+            tr.train_masked(model, None, task.train, task.valid, CONFIGS["adam"])
+            out[f"{name}/empirical_fisher"] = _sha(fi.empirical_fisher(model, task.train).values)
+            if model.is_classifier:
+                out[f"{name}/expectation_fisher"] = _sha(
+                    fi.expectation_fisher(model, task.train).values)
+            out[f"{name}/sample_scores"] = _sha(fi.sample_scores(model, task.train))
+            out[f"{name}/checkpoint_payload"] = _sha(_checkpoint_payload(model, Path(tmp)))
+    return out
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({"stack": stack(), "digests": matrix()},
+                                  indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FIXTURE}")

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fishgrad import autodiff as ad
 from fishgrad import models as mz
 
+FIXTURES = Path(__file__).with_name("fixtures")
 
 class TestBuild:
     def test_logreg_parameter_count(self):
@@ -217,3 +219,12 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="hash"):
             mz.load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["logreg_W_b", "linear_regressor_w_b"])
+    def test_file_with_first_segment_names_loads(self, name):
+        """Files whose headers name logreg's segments W/b and the regressor's
+        w/b, w of shape (3,), still load: the loader checks the spec and the
+        value count, not the segment table."""
+        path = FIXTURES / f"{name}.ckpt"
+        model = mz.load_checkpoint(path)
+        assert model.params.data.astype("<f8").tobytes() == path.read_bytes().split(b"\n", 1)[1]
