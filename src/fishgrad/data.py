@@ -149,13 +149,19 @@ def split(dataset: Dataset, fractions, seed: int) -> list[Dataset]:
     perm = np.random.default_rng(seed).permutation(n)
     bounds = [round(c * n) for c in np.cumsum(fractions)]
     bounds[-1] = n
-    return [dataset.subset(perm[start:stop]) for start, stop in zip([0, *bounds], bounds)]
+    parts = [perm[start:stop] for start, stop in zip([0, *bounds], bounds)]
+    if min(map(len, parts)) == 0:
+        raise ValueError(f"fractions {fractions} leave a part of the {n} rows empty")
+    return [dataset.subset(ids) for ids in parts]
 
 
 def train_valid_split(dataset: Dataset, valid_fraction: float = 0.2,
                       seed: int = 0) -> tuple[Dataset, Dataset]:
     real("valid_fraction", valid_fraction, "(0, 1)")
-    return tuple(split(dataset, (1.0 - valid_fraction, valid_fraction), seed))
+    try:
+        return tuple(split(dataset, (1.0 - valid_fraction, valid_fraction), seed))
+    except ValueError as exc:  # a part left empty: name the setting that did it
+        raise ValueError(f"valid_fraction {valid_fraction}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

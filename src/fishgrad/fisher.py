@@ -188,11 +188,12 @@ def sample_scores(model, dataset, subset=None) -> np.ndarray:
 
 def top_k_mask(fisher: FisherDiagonal, sparsity: float | None = None,
                k: int | None = None) -> Mask:
-    """Select the k highest-scored parameter indices (lowest index wins ties)."""
+    """Select the k highest-scored parameter indices (lowest index wins ties),
+    k given directly or as a ``sparsity`` fraction: exactly one of the two."""
     n = len(fisher.values)
+    if (sparsity is None) == (k is None):
+        raise ValueError(f"need sparsity or k, not both or neither: got {sparsity}, {k}")
     if k is None:
-        if sparsity is None:
-            raise ValueError("need sparsity or k")
         k = mask_size(sparsity, n)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")

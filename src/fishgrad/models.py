@@ -1,13 +1,14 @@
 """Desk-scale differentiable models over a flat, segment-addressed parameter
 vector.
 
-Four kinds are provided: a softmax linear classifier (``logreg``), a
-tanh MLP (``mlp``), a one-block single-head attention classifier over token
-ids (``tiny_attention``), and a scalar linear regressor
-(``linear_regressor``). Classifiers expose log p(y|x) through a log-softmax
-head; the regressor's log-likelihood is the unit-variance Gaussian
--(f(x)-y)^2/2 so that squared-gradient scores are well defined for
-regression tasks too.
+Four kinds are provided by two classes. ``Dense`` is a stack of dense
+layers: a softmax linear classifier (``logreg``), an MLP with tanh or relu
+hidden layers (``mlp``), or a scalar linear regressor
+(``linear_regressor``). ``TinyAttention`` is a one-block single-head
+attention classifier over token ids (``tiny_attention``). Classifiers expose
+log p(y|x) through a log-softmax head; the regressor's log-likelihood is the
+unit-variance Gaussian -(f(x)-y)^2/2 so that squared-gradient scores are
+well defined for regression tasks too.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ class ModelSpec:
         if not isinstance(self.hidden, (list, tuple)):
             raise ValueError(f"hidden must be a list of positive widths, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(integer("hidden", h, 1) for h in self.hidden))
+        if self.hidden and self.kind in ("logreg", "linear_regressor"):
+            raise ValueError(f"{self.kind} has no hidden layers, so hidden must be empty "
+                             f"(or use kind mlp), got {list(self.hidden)}")
         if self.kind == "tiny_attention" and self.embed_dim > 32:
             raise ValueError(f"embed_dim must be in (0, 32], got {self.embed_dim}")
         if self.activation not in ("tanh", "relu"):
@@ -155,11 +159,10 @@ def _init(params: ParamVector, fan_in: dict[str, int], seed: int) -> None:
 class Model:
     """Shared surface: flat params, batched forward, scalar log-lik / loss."""
 
-    is_classifier = True
-
     def __init__(self, spec: ModelSpec, params: ParamVector):
         self.spec = spec
         self.params = params
+        self.is_classifier = spec.num_classes > 0
 
     @property
     def num_params(self) -> int:
@@ -202,15 +205,19 @@ class Model:
         return ad.scale(self.loss_mean(tape, X, y), -1.0 if self.is_classifier else -0.5)
 
     def loss_mean(self, tape: ad.Tape, X, y) -> ad.Tensor:
-        """Scalar mean cross-entropy over the batch."""
+        """Scalar mean training loss over the batch: cross-entropy, or the
+        regressor's squared error on its one output column."""
         bound = tape.bind(self.params)
-        logits = self.logits_tensor(tape, bound, self._check_inputs(X))
-        return ad.nll(ad.log_softmax(logits), self.check_labels(y))
+        out = self.logits_tensor(tape, bound, self._check_inputs(X))
+        y = self.check_labels(y)
+        return ad.nll(ad.log_softmax(out), y) if self.is_classifier else ad.mse(out, y[:, None])
 
     # -- plain numeric conveniences --
 
     def log_probs(self, x) -> np.ndarray:
         """Full log-distribution over classes for one sample."""
+        if not self.is_classifier:
+            raise ValueError(f"{self.spec.kind} has no class logits")
         tape = ad.Tape()
         bound = tape.bind(self.params)
         logits = self.logits_tensor(tape, bound, self._check_inputs(np.asarray(x)[None, :]))
@@ -240,34 +247,25 @@ class Model:
         return X
 
     def check_labels(self, y) -> np.ndarray:
-        """Class ids ``y`` as an int64 array, each in [0, num_classes)."""
+        """Class ids ``y`` as an int64 array, each in [0, num_classes), or a
+        regressor's targets as a float64 array."""
+        if not self.is_classifier:
+            return np.asarray(y, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.num_classes:
             raise ValueError(f"label out of range [0, {self.num_classes}): {y}")
         return y
 
 
-class LogReg(Model):
-    """Softmax linear classifier: logits = X W + b."""
+class Dense(Model):
+    """A stack of dense layers over features: a W0 + b0, then an activation
+    and the next layer for each hidden width. Without hidden layers it is
+    ``logreg``, the softmax linear classifier, or ``linear_regressor``,
+    whose one output column is the mean of its Gaussian head."""
 
     @staticmethod
     def layout(spec: ModelSpec):
-        d, c = spec.input_dim, spec.num_classes
-        return [("W", (d, c)), ("b", (c,))], {"W": d, "b": d}
-
-    def logits_tensor(self, tape, bound, X):
-        return ad.bias_add(ad.matmul(tape.constant(X), bound["W"]), bound["b"])
-
-    def dense_layers(self):
-        return (("W", "b"),)
-
-
-class MLP(Model):
-    """Fully connected classifier with one or more nonlinear hidden layers."""
-
-    @staticmethod
-    def layout(spec: ModelSpec):
-        dims = (spec.input_dim, *spec.hidden, spec.num_classes)
+        dims = (spec.input_dim, *spec.hidden, max(spec.num_classes, 1))
         layout, fan = [], {}
         for i in range(len(dims) - 1):
             layout += [(f"W{i}", (dims[i], dims[i + 1])), (f"b{i}", (dims[i + 1],))]
@@ -367,35 +365,6 @@ class TinyAttention(Model):
         return ad.log_softmax(logits).data
 
 
-class LinearRegressor(Model):
-    """Scalar linear model f(x) = x.w + b with Gaussian log-likelihood."""
-
-    is_classifier = False
-
-    @staticmethod
-    def layout(spec: ModelSpec):
-        d = spec.input_dim
-        return [("w", (d,)), ("b", (1,))], {"w": d, "b": d}
-
-    def _predict_tensor(self, tape, bound, X):
-        return ad.bias_add(ad.matmul(tape.constant(X), bound["w"]), bound["b"])
-
-    def logits_tensor(self, tape, bound, X):
-        raise ValueError("linear_regressor has no class logits")
-
-    def dense_layers(self):
-        return (("w", "b"),)
-
-    def check_labels(self, y) -> np.ndarray:
-        """Regression targets ``y`` as a float64 array."""
-        return np.asarray(y, dtype=np.float64)
-
-    def loss_mean(self, tape, X, y) -> ad.Tensor:
-        bound = tape.bind(self.params)
-        pred = self._predict_tensor(tape, bound, self._check_inputs(X))
-        return ad.mse(pred, self.check_labels(y))
-
-
 def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
                  activation: str | None) -> np.ndarray:
     """a W + b, then ``activation`` ("tanh", "relu", or None for an output
@@ -442,7 +411,7 @@ class DensePass:
         self._grad = np.empty(params.shape)
         # Per layer: the (weight, bias) spans in the block, and views of them
         # in the block and in the gradient (splitting the last axis is always
-        # a view); the regressor's (d,) weight is one column.
+        # a view).
         self._spans, self._views, self._grads = [], [], []
         for w, b in names:
             w, b = segment(w), segment(b)
@@ -564,8 +533,8 @@ class DensePass:
         return value, self._grad
 
 
-_CLASSES = {"logreg": LogReg, "mlp": MLP, "tiny_attention": TinyAttention,
-            "linear_regressor": LinearRegressor}
+_CLASSES = {"logreg": Dense, "mlp": Dense, "tiny_attention": TinyAttention,
+            "linear_regressor": Dense}
 
 
 def build(spec: ModelSpec) -> Model:

@@ -164,12 +164,15 @@ class TestExitCodes:
         (["fisher", "--seed", "-1"], "--seed must be at least 0 and an integer, got -1"),
         (["mask", "--random", "--num-params", "-5", "--sparsity", "0.1"],
          "num_params must be at least 1 and an integer, got -5"),
-    ], ids=["nan-noise", "negative-samples", "negative-seed", "negative-num-params"])
+        (["ird", "--samples", "8", "--sparsity", "0.5", "--mask-size", "3"],
+         "need sparsity or k, not both or neither: got 0.5, 3"),
+    ], ids=["nan-noise", "negative-samples", "negative-seed", "negative-num-params",
+            "sparsity-and-mask-size"])
     def test_bad_number_is_two_with_no_output(self, workspace, capsys, argv, named):
         w = workspace
         cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
                   "--out", str(w / "d.jsonl")])
-        data = ["--data", str(w / "d.jsonl")] if argv[0] == "fisher" else []
+        data = ["--data", str(w / "d.jsonl")] if argv[0] in ("fisher", "ird") else []
         code, _, err = run(capsys, *argv, *data, "--out", str(w / "out.json"))
         assert code == 2
         assert named in json.loads(err)["message"]
@@ -242,12 +245,15 @@ class TestExitCodes:
         ("--sparsity-levels", "0.3,x", "--sparsity-levels must be comma-separated numbers"),
         ("--sample-levels", "4,x", "--sample-levels must be comma-separated integers"),
         ("--sample-levels", "16.7,4", "--sample-levels must be comma-separated integers"),
+        ("--model-config", '{"kind": "logreg", "hidden": [64]}', "hidden must be empty"),
+        ("--valid-fraction", "0.999", "valid_fraction 0.999"),
     ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
             "negative-seed", "string-learning-rate", "string-threshold",
             "string-threshold-few-epochs", "negative-master-seed", "non-integer-master-seed",
             "bool-batch", "nan-threshold", "inf-learning-rate", "unknown-model-key",
             "negative-model-seed", "nan-valid-fraction", "fractional-master-seed",
-            "string-sparsity-level", "string-sample-level", "fractional-sample-level"])
+            "string-sparsity-level", "string-sample-level", "fractional-sample-level",
+            "logreg-with-hidden", "empty-train-part"])
     def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
                                                     flag, value, named):
         """A bad training, model or grid setting fails before any step, with

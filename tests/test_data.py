@@ -283,3 +283,8 @@ class TestSplit:
         for bad in (math.nan, True, 0.0, 1.0):
             with pytest.raises(ValueError, match=r"valid_fraction must be in \(0, 1\)"):
                 dio.train_valid_split(ds, bad)
+        with pytest.raises(ValueError, match="leave a part of the 10 rows empty"):
+            dio.split(ds, (0.99, 0.01), seed=0)
+        for bad in (0.01, 0.99):
+            with pytest.raises(ValueError, match=f"valid_fraction {bad}: .* empty"):
+                dio.train_valid_split(ds, bad)

@@ -15,8 +15,8 @@ from fishgrad import models as mz
 def regressor_with(w, b=0.0):
     model = mz.build(mz.ModelSpec("linear_regressor", input_dim=len(w),
                                   num_classes=0, seed=0))
-    model.params.view("w")[...] = w
-    model.params.view("b")[...] = [b]
+    model.params.view("W0")[:, 0] = w
+    model.params.view("b0")[...] = [b]
     return model
 
 
@@ -173,6 +173,12 @@ class TestTopKMask:
         diag = fi.FisherDiagonal(np.arange(n, dtype=float), "empirical", [0], "h")
         mask = fi.top_k_mask(diag, sparsity=sparsity)
         assert mask.size == max(1, int(np.floor(sparsity * n + 0.5)))
+
+    def test_needs_exactly_one_of_sparsity_and_k(self):
+        diag = fi.FisherDiagonal(np.ones(10), "empirical", [0], "h")
+        for kwargs in ({}, {"sparsity": 0.5, "k": 3}):
+            with pytest.raises(ValueError, match="need sparsity or k, not both or neither"):
+                fi.top_k_mask(diag, **kwargs)
 
     def test_half_up_rounding(self):
         # 0.025 * 67 = 1.675 -> 2; 0.005 * 500 = 2.5 rounds up, never to even

@@ -165,7 +165,7 @@ class TestScore:
     def test_perfect_oracle_scores_one(self):
         model = mz.build(mz.ModelSpec("logreg", input_dim=2, num_classes=2, seed=0))
         model.params.data[:] = 0.0
-        model.params.view("W")[...] = [[-5.0, 5.0], [0.0, 0.0]]
+        model.params.view("W0")[...] = [[-5.0, 5.0], [0.0, 0.0]]
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
         y = np.array([1, 0, 1, 0])
         ds = dio.Dataset(X, y, "binary", 2)

@@ -41,7 +41,7 @@ class TestBuild:
 
     def test_init_bounds_follow_fan_in(self):
         model = mz.build(mz.ModelSpec("logreg", input_dim=16, num_classes=2, seed=5))
-        assert np.abs(model.params.view("W")).max() <= 1 / math.sqrt(16)
+        assert np.abs(model.params.view("W0")).max() <= 1 / math.sqrt(16)
 
     # The last key of each spec is the field at fault.
     @pytest.mark.parametrize("bad", [
@@ -64,6 +64,8 @@ class TestBuild:
           for bad in (True, 2.5, "x", math.nan, math.inf, least - 1)],
         *[dict(kind="mlp", input_dim=4, hidden=(8, bad)) for bad in (True, "x", math.nan, math.inf)],
         dict(kind="tiny_attention", input_dim=8, embed_dim=33),
+        dict(kind="logreg", input_dim=4, num_classes=2, hidden=(8,)),
+        dict(kind="linear_regressor", input_dim=4, num_classes=0, hidden=(8,)),
     ])
     def test_invalid_specs_rejected(self, bad):
         with pytest.raises(ValueError, match=list(bad)[-1]):
@@ -109,7 +111,7 @@ class TestLogProb:
         """W puts weight 1 on feature 0 for class 0 only; x = e_0."""
         model = mz.build(mz.ModelSpec("logreg", input_dim=2, num_classes=2, seed=0))
         model.params.data[:] = 0.0
-        model.params.view("W")[0, 0] = 1.0
+        model.params.view("W0")[0, 0] = 1.0
         x = np.array([1.0, 0.0])
         expected = 1.0 - math.log(math.exp(1.0) + math.exp(0.0))
         assert log_prob(model, x, 0) == pytest.approx(expected, abs=1e-12)
@@ -134,8 +136,8 @@ class TestGaussianLogProb:
     def setup_method(self):
         self.model = mz.build(mz.ModelSpec("linear_regressor", input_dim=2,
                                            num_classes=0, seed=0))
-        self.model.params.view("w")[...] = [1.0, 2.0]
-        self.model.params.view("b")[...] = [0.5]
+        self.model.params.view("W0")[:, 0] = [1.0, 2.0]
+        self.model.params.view("b0")[...] = [0.5]
 
     def test_exact_fit_scores_zero(self):
         x = np.array([1.0, 1.0])
@@ -146,6 +148,10 @@ class TestGaussianLogProb:
         x = np.array([1.0, 1.0])
         y = 3.5 + 2.0
         assert log_prob(self.model, x, y) == pytest.approx(-2.0, abs=1e-15)
+
+    def test_no_class_log_probs(self):
+        with pytest.raises(ValueError, match="no class logits"):
+            self.model.log_probs(np.array([1.0, 1.0]))
 
     def test_gradient_matches_finite_differences(self):
         X = np.array([[0.3, -1.2], [1.4, 0.2]])

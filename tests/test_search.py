@@ -218,8 +218,8 @@ class TestRunGrid:
         """
         model = mz.build(mz.ModelSpec("linear_regressor", input_dim=10, num_classes=0, seed=0))
         rng = np.random.default_rng(3)
-        model.params.view("w")[...] = rng.integers(-2, 3, size=10).astype(float)
-        model.params.view("b")[...] = [1.0]
+        model.params.view("W0")[:, 0] = rng.integers(-2, 3, size=10).astype(float)
+        model.params.view("b0")[...] = [1.0]
         X = rng.integers(-3, 4, size=(60, 10)).astype(float)
         ds = dio.Dataset(X, model.predictions(X), "regression")
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
