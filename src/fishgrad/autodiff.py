@@ -166,28 +166,25 @@ def _same_tape(op: str, *tensors: Tensor) -> Tape:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for (m,n)x(n,p), (n,)x(n,p) and (m,n)x(n,)."""
+    """a @ b for (m,n)x(n,p) and (n,)x(n,p)."""
     tape = _same_tape("matmul", a, b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+    if ad.ndim not in (1, 2) or bd.ndim != 2:
         raise ShapeMismatch("matmul", f"ranks {ad.ndim} and {bd.ndim} unsupported")
     if ad.shape[-1] != bd.shape[0]:
         raise ShapeMismatch("matmul", f"inner dims {ad.shape} @ {bd.shape}")
     out = ad @ bd
 
     def backward(g: np.ndarray):
-        if ad.ndim == 2 and bd.ndim == 2:
+        if ad.ndim == 2:
             return g @ bd.T, ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        # (m,n) @ (n,) -> (m,)
-        return np.outer(g, bd), ad.T @ g
+        return g @ bd.T, np.outer(ad, g)
 
     return tape._record("matmul", (a.node, b.node), out, backward)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: (m,n)+(n,), (n,)+(n,) or (m,)+(1,)."""
+    """Row-broadcast bias: (m,n)+(n,) or (n,)+(n,)."""
     tape = _same_tape("bias_add", x, b)
     xd, bd = x.data, b.data
     if bd.ndim != 1:
@@ -198,9 +195,6 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     elif xd.ndim == 1 and xd.shape == bd.shape:
         def backward(g):
             return g, g
-    elif xd.ndim == 1 and bd.shape == (1,):
-        def backward(g):
-            return g, np.array([g.sum()])
     else:
         raise ShapeMismatch("bias_add", f"cannot broadcast {bd.shape} onto {xd.shape}")
     return tape._record("bias_add", (x.node, b.node), xd + bd, backward)
