@@ -5,7 +5,11 @@
 - the ``result`` block of one staircase grid per model, mode and optimizer;
 - on each model's fine-tuned snapshot, the bytes of ``empirical_fisher``,
   ``expectation_fisher`` (classifiers only) and ``sample_scores``, and the
-  payload of its checkpoint (the float64 values after the header line).
+  payload of its checkpoint (the float64 values after the header line);
+- one small command-line pipeline (``cli_digests``): the dataset file that
+  ``gen-data`` writes, and for each later command the ``result`` block and
+  the manifest without ``inputs``, which hashes files whose ``timing`` block
+  differs from run to run.
 
 ``tests/test_digests.py`` compares it with ``tests/fixtures/digests.json``.
 Running this file rewrites that fixture:
@@ -24,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fishgrad import cli
 from fishgrad import data as dio
 from fishgrad import fisher as fi
 from fishgrad import models as mz
@@ -68,6 +73,43 @@ def _checkpoint_payload(model, tmp: Path) -> bytes:
     return path.read_bytes().split(b"\n", 1)[1]
 
 
+def cli_digests(tmp: Path) -> dict[str, str]:
+    """Digests of gen-data, fisher, mask (top-k and random), train, ird, the
+    three grid modes and report, run through ``cli.main`` in ``tmp``. Most
+    commands leave out ``--seed``, so that its default is covered."""
+    model, config = '{"kind": "mlp", "hidden": [5]}', '{"max_epochs": 3, "batch_size": 8}'
+    steps = {
+        "fisher": ["fisher", "--model-config", model, "--samples", "16",
+                   "--save-model", tmp / "m.ckpt"],
+        "mask-fisher": ["mask", "--fisher", tmp / "fisher.json", "--sparsity", "0.2"],
+        "mask-random": ["mask", "--random", "--num-params", "32", "--sparsity", "0.2"],
+        "train": ["train", "--model", tmp / "m.ckpt", "--mask", tmp / "mask-fisher.json",
+                  "--config", config],
+        "ird": ["ird", "--model-config", model, "--samples", "16", "--sparsity", "0.3",
+                "--config", config, "--seed", "3"],
+        **{f"grid-{mode}": ["grid", "--model-config", model, "--mode", mode,
+                            "--sparsity-levels", "0.6,0.3", "--sample-levels", "16,4",
+                            "--seeds", "0,1", "--config", config, *seed]
+           for mode, seed in (("fish", ["--seed", "3"]), ("ird", []), ("ird-inverse", []))},
+        "report": ["report", "--baseline", tmp / "grid-fish.json",
+                   "--candidate", tmp / "grid-ird.json"],
+    }
+    data = tmp / "d.jsonl"
+    assert cli.main(["gen-data", "--generator", "xor_ring", "--n", "48", "--dims", "3",
+                     "--noise", "0.4", "--out", str(data)]) == 0
+    out = {"cli/gen-data/file": _sha(data.read_bytes())}
+    for name, argv in steps.items():
+        reads = ["--data", data] if argv[0] in ("fisher", "train", "ird", "grid") else []
+        path = tmp / (name if name == "report" else f"{name}.json")
+        assert cli.main([str(a) for a in (*argv, *reads, "--out", path)]) == 0, name
+        written = json.loads((path / "comparison.json" if name == "report" else path)
+                             .read_text())
+        manifest = {k: v for k, v in written["manifest"].items() if k != "inputs"}
+        for part, block in (("result", written["result"]), ("manifest", manifest)):
+            out[f"cli/{name}/{part}"] = _sha(json.dumps(block, sort_keys=True).encode())
+    return out
+
+
 def matrix() -> dict[str, str]:
     """Every digest of the contract, keyed ``model/what``."""
     out = {}
@@ -91,6 +133,7 @@ def matrix() -> dict[str, str]:
                     fi.expectation_fisher(model, task.train).values)
             out[f"{name}/sample_scores"] = _sha(fi.sample_scores(model, task.train))
             out[f"{name}/checkpoint_payload"] = _sha(_checkpoint_payload(model, Path(tmp)))
+        out.update(cli_digests(Path(tmp)))
     return out
 
 

@@ -1,5 +1,6 @@
-"""The dense models' result bytes equal the committed digests
-(``tests/digest_matrix.py`` says what they cover and how to rewrite them)."""
+"""The dense models' result bytes, through the library and the command line,
+equal the committed digests (``tests/digest_matrix.py`` says what they cover
+and how to rewrite them)."""
 
 import json
 
