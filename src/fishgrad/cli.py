@@ -26,7 +26,7 @@ from . import search as ird_mod
 from . import models as mz
 from . import report as rep
 from . import training as tr
-from ._check import integer
+from ._check import integer, real
 from .fileio import write_atomic
 
 
@@ -99,46 +99,54 @@ def _numbers(text: str, flag: str, kind=float) -> tuple:
         raise ValueError(f"{flag} must be comma-separated {noun}: {text!r}") from None
 
 
-def _train_config(overrides: dict, seed: int | None) -> tr.TrainConfig:
-    if seed is not None:
-        overrides = {"seed": seed, **overrides}
-    return _from_json(tr.TrainConfig, "--config", overrides)
+def _or_text(kind):
+    """An argparse ``type``: ``kind(text)``, or the text itself when it does not
+    parse, so that the flag's own check rejects it by name (exit 2)."""
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            return text
+    return parse
 
 
-def _model_for_data(config: dict, dataset: dio.Dataset, seed: int | None) -> mz.Model:
-    """Build a model from a partial spec, filling data-derived fields."""
-    cfg = dict(config)
+_int, _float = _or_text(int), _or_text(float)
+
+
+def _train_config(args) -> tr.TrainConfig:
+    return _from_json(tr.TrainConfig, "--config", {"seed": args.seed,
+                                                   **_load_json_arg(args.config)})
+
+
+def _model_for_data(args, dataset: dio.Dataset) -> mz.Model:
+    """Build a model from a partial ``--model-config``, filling data-derived
+    fields and ``--seed``."""
+    cfg = {"input_dim": dataset.dim, "seed": args.seed, **_load_json_arg(args.model_config)}
     if dataset.task == "regression":
         cfg.setdefault("kind", "linear_regressor")
         cfg.setdefault("num_classes", 0)
     else:
         cfg.setdefault("kind", "mlp" if cfg.get("hidden") else "logreg")
         cfg.setdefault("num_classes", dataset.num_classes)
-    cfg.setdefault("input_dim", dataset.dim)
-    if seed is not None:
-        cfg.setdefault("seed", seed)
     return mz.build(_from_json(mz.ModelSpec, "--model-config", cfg))
 
 
 def _resolve_model(args, dataset: dio.Dataset) -> mz.Model:
-    if getattr(args, "model", None):
+    if args.model:
         return mz.load_checkpoint(args.model)
-    return _model_for_data(_load_json_arg(getattr(args, "model_config", None)),
-                           dataset, getattr(args, "seed", None))
+    return _model_for_data(args, dataset)
 
 
 def _split(dataset: dio.Dataset, args) -> tuple[dio.Dataset, dio.Dataset]:
-    return dio.train_valid_split(dataset, args.valid_fraction,
-                                 seed=args.seed if args.seed is not None else 0)
+    return dio.train_valid_split(dataset, args.valid_fraction, seed=args.seed)
 
 
 # ---- subcommand implementations -------------------------------------------
 
 
-def _cmd_gen_data(args) -> int:
+def _cmd_gen_data(args, started: float) -> int:
     spec = dio.SyntheticSpec(args.generator, args.n, dims=args.dims,
-                             classes=args.classes, noise=args.noise,
-                             seed=args.seed if args.seed is not None else 0)
+                             classes=args.classes, noise=args.noise, seed=args.seed)
     dataset = dio.generate(spec)
     if dataset.token_inputs:
         raise ValueError("token datasets are in-library only; pick a dense generator")
@@ -147,50 +155,42 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _cmd_fisher(args) -> int:
-    started = time.time()
+def _cmd_fisher(args, started: float) -> int:
     dataset = dio.load(args.data)
     model = _resolve_model(args, dataset)
-    seed = args.seed if args.seed is not None else 0
     n = args.samples if args.samples else len(dataset)
-    ids = ird_mod._draw_ids(len(dataset), n, seed)
+    ids = ird_mod._draw_ids(len(dataset), n, args.seed)
     estimator = fi.expectation_fisher if args.expectation else fi.empirical_fisher
     diag = estimator(model, dataset, ids)
     config = {"samples": n, "expectation": args.expectation,
               "model_spec": model.spec.to_dict()}
-    manifest = _manifest("fisher", config, {"data": args.data}, seed)
+    manifest = _manifest("fisher", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, fi.fisher_to_json(diag), started)
     if args.save_model:
         mz.save_checkpoint(model, args.save_model)
     return 0
 
 
-def _cmd_mask(args) -> int:
-    started = time.time()
+def _cmd_mask(args, started: float) -> int:
+    config, inputs = {"sparsity": args.sparsity, "random": args.random}, {}
     if args.random:
-        if not args.num_params:
-            raise ValueError("--random needs --num-params")
-        seed = args.seed if args.seed is not None else 0
-        mask = fi.random_mask(args.num_params, args.sparsity, seed)
-        manifest = _manifest("mask", {"sparsity": args.sparsity, "random": True,
-                                      "num_params": args.num_params}, {}, seed)
+        mask = fi.random_mask(args.num_params, args.sparsity, args.seed)
+        config["num_params"] = args.num_params
+    elif args.fisher:
+        mask = fi.top_k_mask(fi.fisher_from_json(_read_result(args.fisher)), sparsity=args.sparsity)
+        inputs = {"fisher": args.fisher}
     else:
-        if not args.fisher:
-            raise UsageError("need --fisher or --random")
-        diag = fi.fisher_from_json(_read_result(args.fisher))
-        mask = fi.top_k_mask(diag, sparsity=args.sparsity)
-        manifest = _manifest("mask", {"sparsity": args.sparsity, "random": False},
-                             {"fisher": args.fisher}, args.seed)
+        raise UsageError("need --fisher or --random")
+    manifest = _manifest("mask", config, inputs, args.seed)
     _write_result(args.out, manifest, fi.mask_to_json(mask), started)
     return 0
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
+def _cmd_train(args, started: float) -> int:
     dataset = dio.load(args.data)
     model = _resolve_model(args, dataset)
     mask = fi.mask_from_json(_read_result(args.mask)) if args.mask else None
-    cfg = _train_config(_load_json_arg(args.config), args.seed)
+    cfg = _train_config(args)
     train_ds, valid_ds = _split(dataset, args)
     result = tr.train_masked(model, mask, train_ds, valid_ds, cfg)
     config = {"train": asdict(cfg), "valid_fraction": args.valid_fraction,
@@ -205,15 +205,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_ird(args) -> int:
-    started = time.time()
+def _cmd_ird(args, started: float) -> int:
+    if (args.sparsity is None) == (args.mask_size is None):
+        raise ValueError("need --sparsity or --mask-size, not both or neither")
+    if args.sparsity is None:
+        integer("--mask-size", args.mask_size, 1)
+    else:
+        real("--sparsity", args.sparsity, "(0, 1]")
     dataset = dio.load(args.data)
     model = _resolve_model(args, dataset)
-    seed = args.seed if args.seed is not None else 0
     train_ds, valid_ds = _split(dataset, args)
-    x0 = ird_mod._draw_ids(len(train_ds), args.samples, seed)
-    cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), seed),
-                            seed=seed)
+    x0 = ird_mod._draw_ids(len(train_ds), args.samples, args.seed)
+    cfg = ird_mod.IRDConfig(train=_train_config(args), seed=args.seed)
     trace = ird_mod.ird(model, train_ds, valid_ds, x0,
                         initial_sparsity=args.sparsity,
                         initial_k=args.mask_size, cfg=cfg, inverse=args.inverse)
@@ -221,28 +224,24 @@ def _cmd_ird(args) -> int:
               "mask_size": args.mask_size, "inverse": args.inverse,
               "valid_fraction": args.valid_fraction,
               "model_spec": model.spec.to_dict()}
-    manifest = _manifest("ird", config, {"data": args.data}, seed)
+    manifest = _manifest("ird", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, trace.to_json(), started)
     return 0
 
 
-_MODE_ALIASES = {"fish": "fish_random", "fish_random": "fish_random",
-                 "ird": "ird", "ird-inverse": "ird_inverse",
-                 "ird_inverse": "ird_inverse"}
+_MODES = {"fish": "fish_random", "ird": "ird", "ird-inverse": "ird_inverse"}
 
 
-def _cmd_grid(args) -> int:
-    started = time.time()
+def _cmd_grid(args, started: float) -> int:
     dataset = dio.load(args.data)
     train_ds, valid_ds = _split(dataset, args)
     spec = ird_mod.GridSpec(_numbers(args.sparsity_levels, "--sparsity-levels"),
                             _numbers(args.sample_levels, "--sample-levels", int),
-                            _MODE_ALIASES[args.mode], _numbers(args.seeds, "--seeds", int))
-    model_cfg = _load_json_arg(args.model_config)
-    probe = _model_for_data(model_cfg, dataset, args.seed)
-    cfg = ird_mod.IRDConfig(train=_train_config(_load_json_arg(args.config), args.seed))
+                            _MODES[args.mode], _numbers(args.seeds, "--seeds", int))
+    probe = _model_for_data(args, dataset)
+    cfg = ird_mod.IRDConfig(train=_train_config(args))
     result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg,
-                              max_workers=args.threads)
+                              max_workers=integer("--threads", args.threads, 1))
     config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
               "valid_fraction": args.valid_fraction, "train": asdict(cfg.train)}
     manifest = _manifest("grid", config, {"data": args.data}, args.seed)
@@ -256,8 +255,7 @@ def _read_result(path: str) -> dict:
     return d.get("result", d)
 
 
-def _cmd_report(args) -> int:
-    started = time.time()
+def _cmd_report(args, started: float) -> int:
     baseline = ird_mod.load_grid(args.baseline)
     candidate = ird_mod.load_grid(args.candidate)
     comparison = ird_mod.compare_grids(baseline, candidate)
@@ -284,86 +282,65 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fishgrad", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    every = _Parser(add_help=False)
+    every.add_argument("--seed", type=_int, default=0, help="master seed (default 0)")
+    every.add_argument("--out", required=True)
+    reads = _Parser(add_help=False)
+    reads.add_argument("--data", required=True)
+    reads.add_argument("--model-config")
+    trains = _Parser(add_help=False)
+    trains.add_argument("--config")
+    trains.add_argument("--valid-fraction", type=_float, default=0.2)
 
-    p = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p.add_argument("--generator", "--task", dest="generator", default="gaussian_blobs",
+    def command(name, fn, summary, *parents):
+        p = sub.add_parser(name, parents=[every, *parents], help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("gen-data", _cmd_gen_data, "write a synthetic dataset")
+    p.add_argument("--generator", default="gaussian_blobs",
                    choices=["gaussian_blobs", "xor_ring", "linear_regression"])
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--dims", type=int, default=8)
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=_int, default=200)
+    p.add_argument("--dims", type=_int, default=8)
+    p.add_argument("--classes", type=_int, default=2)
+    p.add_argument("--noise", type=_float, default=0.3)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "tsv"])
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen_data)
 
-    p = sub.add_parser("fisher", help="per-parameter squared-gradient scores")
-    p.add_argument("--data", required=True)
+    p = command("fisher", _cmd_fisher, "per-parameter squared-gradient scores", reads)
     p.add_argument("--model")
-    p.add_argument("--model-config")
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_int, default=0)
     p.add_argument("--expectation", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--save-model")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_fisher)
 
-    p = sub.add_parser("mask", help="top-k or random parameter mask")
+    p = command("mask", _cmd_mask, "top-k or random parameter mask")
     p.add_argument("--fisher")
-    p.add_argument("--sparsity", type=float, required=True)
+    p.add_argument("--sparsity", type=_float, required=True)
     p.add_argument("--random", action="store_true")
-    p.add_argument("--num-params", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_mask)
+    p.add_argument("--num-params", type=_int, default=0)
 
-    p = sub.add_parser("train", help="masked fine-tune")
-    p.add_argument("--data", required=True)
+    p = command("train", _cmd_train, "masked fine-tune", reads, trains)
     p.add_argument("--model")
-    p.add_argument("--model-config")
     p.add_argument("--mask")
-    p.add_argument("--config")
-    p.add_argument("--valid-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--save-model")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("ird", help="alternating halving search")
-    p.add_argument("--data", required=True)
+    p = command("ird", _cmd_ird, "alternating halving search", reads, trains)
     p.add_argument("--model")
-    p.add_argument("--model-config")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--mask-size", type=int)
+    p.add_argument("--samples", type=_int, required=True)
+    p.add_argument("--sparsity", type=_float)
+    p.add_argument("--mask-size", type=_int)
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--config")
-    p.add_argument("--valid-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_ird)
 
-    p = sub.add_parser("grid", help="staircase sweep over (sparsity, samples)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--model-config")
-    p.add_argument("--mode", default="fish", choices=sorted(_MODE_ALIASES))
+    p = command("grid", _cmd_grid, "staircase sweep over (sparsity, samples)", reads, trains)
+    p.add_argument("--mode", default="fish", choices=_MODES)
     p.add_argument("--sparsity-levels", default="0.025,0.005,0.001,0.0002")
     p.add_argument("--sample-levels", default="128,32,16,1")
     p.add_argument("--seeds", default="0")
-    p.add_argument("--config")
-    p.add_argument("--valid-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_int, default=1,
                    help="worker processes for the fine-tunes (at most one per core)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_grid)
 
-    p = sub.add_parser("report", help="compare two grids: CSV + SVG heatmaps")
+    p = command("report", _cmd_report, "compare two grids: CSV + SVG heatmaps")
     p.add_argument("--baseline", required=True)
     p.add_argument("--candidate", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_report)
     return parser
 
 
@@ -380,8 +357,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     try:
-        integer("--seed", args.seed or 0, 0)  # every subcommand takes --seed
-        return args.fn(args)
+        integer("--seed", args.seed, 0)  # every subcommand takes --seed
+        return args.fn(args, time.time())
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 1

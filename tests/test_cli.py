@@ -1,5 +1,6 @@
 """CLI pipeline: subcommand wiring, exit codes, manifest reproducibility."""
 
+import argparse
 import json
 import time
 
@@ -165,9 +166,15 @@ class TestExitCodes:
         (["mask", "--random", "--num-params", "-5", "--sparsity", "0.1"],
          "num_params must be at least 1 and an integer, got -5"),
         (["ird", "--samples", "8", "--sparsity", "0.5", "--mask-size", "3"],
-         "need sparsity or k, not both or neither: got 0.5, 3"),
+         "need --sparsity or --mask-size, not both or neither"),
+        (["ird", "--samples", "8"], "need --sparsity or --mask-size, not both or neither"),
+        (["ird", "--samples", "8", "--mask-size", "0"],
+         "--mask-size must be at least 1 and an integer, got 0"),
+        (["gen-data", "--n", "2.5"], "n must be at least 4 and an integer, got '2.5'"),
+        (["gen-data", "--seed", "1.5"], "--seed must be at least 0 and an integer, got '1.5'"),
     ], ids=["nan-noise", "negative-samples", "negative-seed", "negative-num-params",
-            "sparsity-and-mask-size"])
+            "sparsity-and-mask-size", "neither-sparsity-nor-mask-size", "zero-mask-size",
+            "fractional-n", "fractional-seed"])
     def test_bad_number_is_two_with_no_output(self, workspace, capsys, argv, named):
         w = workspace
         cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
@@ -177,6 +184,24 @@ class TestExitCodes:
         assert code == 2
         assert named in json.loads(err)["message"]
         assert not (w / "out.json").exists()
+
+    @pytest.mark.parametrize("flags,named", [
+        ([], "need --sparsity or --mask-size"),
+        (["--sparsity", "0.5", "--mask-size", "3"], "need --sparsity or --mask-size"),
+        (["--mask-size", "0"], "--mask-size must be at least 1"),
+        (["--sparsity", "1.5"], "--sparsity must be in (0, 1]"),
+    ], ids=["neither", "both", "zero-mask-size", "sparsity-above-one"])
+    def test_ird_checks_mask_flags_before_loading_data(self, workspace, capsys, monkeypatch,
+                                                       flags, named):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the data was loaded")
+
+        monkeypatch.setattr(cli.dio, "load", no_load)
+        code, _, err = run(capsys, "ird", "--data", "d.jsonl", "--samples", "8", *flags,
+                           "--out", str(workspace / "out.json"))
+        assert code == 2
+        assert named in json.loads(err)["message"]
+        assert not (workspace / "out.json").exists()
 
     def test_constant_regression_labels_are_two(self, workspace, capsys):
         """A correlation metric is undefined on constant validation labels;
@@ -247,13 +272,14 @@ class TestExitCodes:
         ("--sample-levels", "16.7,4", "--sample-levels must be comma-separated integers"),
         ("--model-config", '{"kind": "logreg", "hidden": [64]}', "hidden must be empty"),
         ("--valid-fraction", "0.999", "valid_fraction 0.999"),
+        ("--threads", "0", "--threads must be at least 1 and an integer, got 0"),
     ], ids=["beta-one", "one-beta", "fractional-batch", "fractional-patience",
             "negative-seed", "string-learning-rate", "string-threshold",
             "string-threshold-few-epochs", "negative-master-seed", "non-integer-master-seed",
             "bool-batch", "nan-threshold", "inf-learning-rate", "unknown-model-key",
             "negative-model-seed", "nan-valid-fraction", "fractional-master-seed",
             "string-sparsity-level", "string-sample-level", "fractional-sample-level",
-            "logreg-with-hidden", "empty-train-part"])
+            "logreg-with-hidden", "empty-train-part", "zero-threads"])
     def test_bad_train_value_is_two_before_any_step(self, workspace, capsys, monkeypatch,
                                                     flag, value, named):
         """A bad training, model or grid setting fails before any step, with
@@ -430,3 +456,77 @@ class TestModelResolution:
         fisher = json.loads((w / "f.json").read_text())["result"]
         assert fisher["model_hash"] == model.content_hash()
         assert len(fisher["values"]) == model.num_params
+
+
+def _numeric_options() -> list[tuple[str, str, type]]:
+    """(subcommand, flag, int or float) for every option of ``build_parser()``
+    whose type is a number, and for the grid's comma-separated lists."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    kinds = {int: int, cli._int: int, float: float, cli._float: float}
+    found = [(name, action.option_strings[-1], kinds[action.type])
+             for name, sub in commands.choices.items() for action in sub._actions
+             if action.type in kinds]
+    return found + [("grid", "--seeds", int), ("grid", "--sample-levels", int),
+                    ("grid", "--sparsity-levels", float)]
+
+
+def _malformed(kind) -> list[str]:
+    return ["x", "nan", "inf", "-1"] + (["2.5"] if kind is int else [])
+
+
+GUARDED = [(name, flag, value) for name, flag, kind in _numeric_options()
+           for value in _malformed(kind)]
+
+
+class TestFlagGuard:
+    """Every number a flag takes is checked: text that is not a number, NaN,
+    infinity, a value below the flag's bound and, for an integer, a fraction
+    all exit 2 naming the flag (or its setting) with no output written. A flag
+    added later without a check fails here."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        """Subcommand -> argvs (without ``--out``) that succeed."""
+        w = tmp_path_factory.mktemp("inputs")
+        data = ["--data", str(w / "d.jsonl")]
+        quick = ["--config", '{"max_epochs": 1}']
+        grid = [*data, *quick, "--sparsity-levels", "0.5", "--sample-levels", "4",
+                "--seeds", "0", "--threads", "1"]
+        assert cli.main(["gen-data", "--n", "40", "--dims", "4", "--out", data[1]]) == 0
+        assert cli.main(["grid", *grid, "--out", str(w / "g.json")]) == 0
+        return {
+            "gen-data": [["--n", "40", "--dims", "4", "--classes", "2", "--noise", "0.3"]],
+            "fisher": [[*data, "--samples", "8"]],
+            "mask": [["--random", "--num-params", "10", "--sparsity", "0.5"]],
+            "train": [[*data, *quick, "--valid-fraction", "0.25"]],
+            "ird": [[*data, *quick, "--samples", "8", "--sparsity", "0.5"],
+                    [*data, *quick, "--samples", "8", "--mask-size", "2"]],
+            "grid": [grid],
+            "report": [["--baseline", str(w / "g.json"), "--candidate", str(w / "g.json")]],
+        }
+
+    def test_valid_argvs_succeed(self, valid, tmp_path, capsys):
+        assert sorted(valid) == sorted({name for name, _, _ in GUARDED})
+        for name, argvs in valid.items():
+            for i, argv in enumerate(argvs):
+                out = tmp_path / f"{name}-{i}"
+                assert cli.main([name, *argv, "--out", str(out)]) == 0, (name, argv)
+                assert out.exists()
+
+    @pytest.mark.parametrize("name,flag,value", GUARDED,
+                             ids=[f"{n}:{f}={v}" for n, f, v in GUARDED])
+    def test_malformed_number_is_two_naming_the_flag(self, valid, tmp_path, capsys,
+                                                     name, flag, value):
+        argv = next((a for a in valid[name] if flag in a), valid[name][0])
+        if flag in argv:
+            argv = argv[:argv.index(flag) + 1] + [value] + argv[argv.index(flag) + 2:]
+        else:
+            argv = [*argv, flag, value]
+        out = tmp_path / "out"
+        code, _, err = run(capsys, name, *argv, "--out", str(out))
+        assert code == 2, err
+        message = json.loads(err)["message"]
+        dest = flag.lstrip("-").replace("-", "_")
+        assert any(message.startswith(f"{n} ") for n in (flag, dest, dest.replace("_", " "))), message
+        assert not out.exists()
