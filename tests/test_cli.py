@@ -490,10 +490,10 @@ class TestFlagGuard:
         """Subcommand -> argvs (without ``--out``) that succeed."""
         w = tmp_path_factory.mktemp("inputs")
         data = ["--data", str(w / "d.jsonl")]
+        assert cli.main(["gen-data", "--n", "40", "--dims", "4", "--out", data[1]]) == 0
         quick = ["--config", '{"max_epochs": 1}']
         grid = [*data, *quick, "--sparsity-levels", "0.5", "--sample-levels", "4",
                 "--seeds", "0", "--threads", "1"]
-        assert cli.main(["gen-data", "--n", "40", "--dims", "4", "--out", data[1]]) == 0
         assert cli.main(["grid", *grid, "--out", str(w / "g.json")]) == 0
         return {
             "gen-data": [["--n", "40", "--dims", "4", "--classes", "2", "--noise", "0.3"]],
@@ -528,5 +528,6 @@ class TestFlagGuard:
         assert code == 2, err
         message = json.loads(err)["message"]
         dest = flag.lstrip("-").replace("-", "_")
-        assert any(message.startswith(f"{n} ") for n in (flag, dest, dest.replace("_", " "))), message
+        names = (flag, dest, dest.replace("_", " "))
+        assert any(message.startswith(f"{n} ") for n in names), message
         assert not out.exists()
