@@ -1,8 +1,11 @@
-"""The determinism contract for the dense models, as sha256 digests.
+"""The determinism contract, as sha256 digests.
 
 ``matrix()`` computes every digest on tiny seeded tasks:
 
 - the ``result`` block of one staircase grid per model, mode and optimizer;
+- one more grid over two master seeds (``POOLED``), run serially and with
+  ``max_workers=2``, which forks a second fine-tune process on a host with
+  two cores: the two digests must be equal;
 - on each model's fine-tuned snapshot, the bytes of ``empirical_fisher``,
   ``expectation_fisher`` (classifiers only) and ``sample_scores``, and the
   payload of its checkpoint (the float64 values after the header line);
@@ -24,6 +27,7 @@ change that rewrites the fixture names the digests that moved and why.
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +41,23 @@ from fishgrad import training as tr
 
 FIXTURE = Path(__file__).with_name("fixtures") / "digests.json"
 
-# name: (model spec fields, generator and classes of its task)
+# name: (model spec fields, fields of its task's SyntheticSpec), over defaults
+# of 4 inputs, init seed 3, and 48 rows at noise 0.4 from data seed 7
 MODELS = {
-    "logreg": (dict(kind="logreg", num_classes=3), ("gaussian_blobs", 3)),
-    "mlp_tanh": (dict(kind="mlp", hidden=(6,), num_classes=2), ("xor_ring", 2)),
+    "logreg": (dict(kind="logreg", num_classes=3),
+               dict(generator="gaussian_blobs", classes=3)),
+    "mlp_tanh": (dict(kind="mlp", hidden=(6,), num_classes=2), dict(generator="xor_ring")),
     "mlp_relu2": (dict(kind="mlp", hidden=(6, 5), num_classes=3, activation="relu"),
-                  ("gaussian_blobs", 3)),
+                  dict(generator="gaussian_blobs", classes=3)),
     "linear_regressor": (dict(kind="linear_regressor", num_classes=0),
-                         ("linear_regression", 2)),
+                         dict(generator="linear_regression")),
+    "tiny_attention": (dict(kind="tiny_attention", input_dim=12, hidden=(4,), embed_dim=4,
+                            max_len=3),
+                       dict(generator="token_topic", n=24, vocab=12, seq_len=3)),
 }
+# The key of the grid over two master seeds; its max_workers=2 run adds
+# "/max_workers=2".
+POOLED = "mlp_tanh/grid/ird/adam/seeds=0,1"
 CONFIGS = {"adam": tr.TrainConfig("adam", 0.05, batch_size=8, max_epochs=3, patience=2),
            "sgd": tr.TrainConfig("sgd", 0.1, batch_size=8, max_epochs=3, patience=2)}
 
@@ -65,6 +77,11 @@ def _sha(data) -> str:
     if isinstance(data, np.ndarray):
         data = np.ascontiguousarray(data, dtype="<f8").tobytes()
     return hashlib.sha256(data).hexdigest()
+
+
+def _grid_digest(grid, task, spec, cfg, max_workers=1) -> str:
+    result = search.run_grid(grid, task, spec, search.IRDConfig(cfg, seed=5), max_workers)
+    return _sha(json.dumps(result.to_json(), sort_keys=True).encode())
 
 
 def _checkpoint_payload(model, tmp: Path) -> bytes:
@@ -114,17 +131,19 @@ def matrix() -> dict[str, str]:
     """Every digest of the contract, keyed ``model/what``."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, (fields, (generator, classes)) in MODELS.items():
-            spec = mz.ModelSpec(input_dim=4, seed=3, **fields)
-            ds = dio.generate(dio.SyntheticSpec(generator, 48, dims=4, classes=classes,
-                                                noise=0.4, seed=7))
+        for name, (fields, data) in MODELS.items():
+            spec = mz.ModelSpec(**{"input_dim": 4, "seed": 3, **fields})
+            ds = dio.generate(dio.SyntheticSpec(**{"n": 48, "dims": 4, "noise": 0.4,
+                                                   "seed": 7, **data}))
             task = search.Task(*dio.train_valid_split(ds, 0.25, seed=1))
             for opt, cfg in CONFIGS.items():
                 for mode in search.MODES:
                     grid = search.GridSpec((0.6, 0.3, 0.15), (16, 8, 4), mode, (0,))
-                    result = search.run_grid(grid, task, spec, search.IRDConfig(cfg, seed=5))
-                    out[f"{name}/grid/{mode}/{opt}"] = _sha(
-                        json.dumps(result.to_json(), sort_keys=True).encode())
+                    out[f"{name}/grid/{mode}/{opt}"] = _grid_digest(grid, task, spec, cfg)
+                    if POOLED.startswith(f"{name}/grid/{mode}/{opt}/"):
+                        grid = replace(grid, seeds=(0, 1))
+                        out[POOLED] = _grid_digest(grid, task, spec, cfg)
+                        out[POOLED + "/max_workers=2"] = _grid_digest(grid, task, spec, cfg, 2)
             model = mz.build(spec)
             tr.train_masked(model, None, task.train, task.valid, CONFIGS["adam"])
             out[f"{name}/empirical_fisher"] = _sha(fi.empirical_fisher(model, task.train).values)
