@@ -10,11 +10,11 @@ repeatedly on the same tape (adjoints are recomputed from scratch each call);
 start a new Tape for a new forward pass. The op set is deliberately small and
 fixed so every backward rule below can be audited by hand.
 
-``loss_gradient`` takes a model's untaped ``dense_pass`` when it has one (a
-plain stack of dense layers: logreg, mlp, linear_regressor), which applies
-the same rules without recording closures. The tape is the fallback for
-every other model (tiny_attention) and the reference the dense path is
-tested against, byte for byte.
+``loss_gradient`` delegates to the model's pass (``Model.run``). A stack of
+dense layers (logreg, mlp, linear_regressor) runs ``models.DensePass``,
+which applies the same rules without recording closures and is tested
+against the tape byte for byte; tiny_attention's ``models.TapePass``
+records its loss on a ``Tape``.
 """
 
 from __future__ import annotations
@@ -350,17 +350,9 @@ def log_prob_gradient(model, X, y) -> np.ndarray:
 
 
 def loss_gradient(model, X, y) -> tuple[float, np.ndarray]:
-    """(mean loss value, d(mean loss)/dtheta) over a batch.
-
-    A stack of dense layers takes its untaped ``dense_pass``; any other
-    model records the loss on a tape.
-    """
-    dense = model.dense_pass(X)
-    if dense is not None:
-        return dense.loss_gradient(model.check_labels(y))
-    tape = Tape()
-    out = model.loss_mean(tape, X, y)
-    return float(out.data), tape.gradient(1.0, output=out)
+    """(mean loss value, d(mean loss)/dtheta) over a batch, from the model's
+    pass."""
+    return model.run(X).loss_gradient(model.check_labels(y))
 
 
 def per_sample_gradients(model, X, y) -> list[np.ndarray]:

@@ -58,14 +58,18 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
-def _write_result(path: str, manifest: dict, result: dict, started: float) -> None:
+def _result_text(manifest: dict, result: dict, started: float) -> str:
     payload = {
         "manifest": manifest,
         "timing": {"started_unix": round(started, 3),
                    "seconds": round(time.time() - started, 3)},
         "result": result,
     }
-    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _write_result(path: str, manifest: dict, result: dict, started: float) -> None:
+    write_atomic(path, _result_text(manifest, result, started))
 
 
 def _load_json_arg(value: str | None) -> dict:
@@ -262,16 +266,15 @@ def _cmd_report(args, started: float) -> int:
     manifest = _manifest("report", {}, {"baseline": args.baseline,
                                         "candidate": args.candidate}, args.seed)
     ref = f"manifest-sha256: {manifest_hash(manifest)}"
+    texts = {  # all built before the first write, so a failure leaves the last report
+        "comparison.csv": rep.comparison_csv(baseline, candidate, comparison, annotation=ref),
+        "baseline.svg": rep.render_heatmap(baseline, title="baseline", annotation=ref),
+        "candidate.svg": rep.render_heatmap(candidate, comparison, title="candidate",
+                                            annotation=ref),
+        "comparison.json": _result_text(manifest, comparison.to_json(), started)}
     os.makedirs(args.out, exist_ok=True)
-    write_atomic(os.path.join(args.out, "comparison.csv"),
-                 rep.comparison_csv(baseline, candidate, comparison, annotation=ref))
-    write_atomic(os.path.join(args.out, "baseline.svg"),
-                 rep.render_heatmap(baseline, title="baseline", annotation=ref))
-    write_atomic(os.path.join(args.out, "candidate.svg"),
-                 rep.render_heatmap(candidate, comparison, title="candidate",
-                                    annotation=ref))
-    _write_result(os.path.join(args.out, "comparison.json"), manifest,
-                  comparison.to_json(), started)
+    for name, text in texts.items():
+        write_atomic(os.path.join(args.out, name), text)
     return 0
 
 

@@ -13,10 +13,10 @@ per-layer blocks (``_squared_blocks``). For a dense layer, row i's weight
 gradient is the outer product of its input a_i and its output gradient
 delta_i, so the squared gradients summed over rows are (A^2)^T Delta^2 and
 row i's squared norm over the layer's weights and bias is
-|delta_i|^2 (|a_i|^2 + 1). Stacks of dense layers (logreg, mlp,
-linear_regressor) supply A and Delta from one batched pass
-(``models.DensePass``) and form no per-sample gradient; any other model
-(tiny_attention) runs one tape pass per row and label.
+|delta_i|^2 (|a_i|^2 + 1). The model's pass (``Model.run``) supplies A and
+Delta: stacks of dense layers (logreg, mlp, linear_regressor) from one
+batched pass (``models.DensePass``), forming no per-sample gradient, and
+tiny_attention (``models.TapePass``) as one block of per-row tape gradients.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from ._check import integer, real
 
 
@@ -105,36 +104,20 @@ def _resolve_subset(dataset, subset) -> np.ndarray:
     return ids
 
 
-def _tape_rows(model, X, y):
-    """Each row's log-likelihood gradient and p(y_i | x_i), from one tape
-    pass per row: the path for models without dense-layer factors."""
-    grads, log_p = np.empty((len(X), model.num_params)), np.empty(len(X))
-    for i in range(len(X)):
-        tape = ad.Tape()
-        out = model.log_prob_mean(tape, X[i:i + 1], y[i:i + 1])
-        grads[i], log_p[i] = tape.gradient(1.0, output=out), out.data
-    return grads, np.exp(log_p)
-
-
 def _squared_blocks(model, X, y=None) -> list[tuple]:
     """Each row's squared log-likelihood gradient at labels ``y`` (or, with
     ``y=None``, summed over the classes weighted by the model's predictive
     probabilities) as per-layer blocks (weight span, bias span or None, A^2,
     S): row i's share is outer(A^2[i], S[i]) on the weight span and S[i] on
-    the bias span. A dense stack gives one block per layer; any other model
+    the bias span. A dense stack gives one block per layer; tiny_attention
     gives one block over the whole vector, with a column of ones as A.
     """
-    n = len(X)
-    dense = model.dense_pass(X)
+    run = model.run(X)
     total = None
     for cls in [None] if y is not None else range(model.num_classes):
-        labels = y if cls is None else np.full(n, cls)
-        if dense is None:
-            grads, p = _tape_rows(model, X, labels)
-            layers = [(slice(0, model.num_params), None, np.ones((n, 1)), grads)]
-        else:
-            layers = dense.factors(model.check_labels(labels))
-            p = None if cls is None else dense.probs[:, cls]
+        labels = y if cls is None else np.full(len(X), cls)
+        layers = run.factors(model.check_labels(labels))
+        p = None if cls is None else run.probs[:, cls]
         squares = [g ** 2 if cls is None else p[:, None] * g ** 2 for *_, g in layers]
         total = squares if total is None else [acc + s for acc, s in zip(total, squares)]
     return [(w, b, a ** 2, sq) for (w, b, a, _), sq in zip(layers, total)]

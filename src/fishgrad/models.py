@@ -13,6 +13,7 @@ well defined for regression tasks too.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -185,16 +186,15 @@ class Model:
         """(weight, bias) segment names of each dense layer, input side first.
 
         Empty for a model that is not a plain stack of dense layers; such a
-        model has no per-example gradient factors.
+        model runs on the tape (``TapePass``).
         """
         return ()
 
-    def dense_pass(self, X) -> "DensePass | None":
-        """Untaped forward pass over a batch, kept for batched per-example
-        gradients; None when the model has no dense-layer factors."""
-        return DensePass(self).run(self._check_inputs(X)) if self.dense_layers() else None
+    def run(self, X) -> "DensePass":
+        """The model's pass (its class's ``pass_class``) over the checked ``X``."""
+        return self.pass_class(self).run(self._check_inputs(X))
 
-    # -- forward protocol (subclasses implement logits_tensor or predict) --
+    # -- tape protocol (subclasses implement logits_tensor, or loss_mean) --
 
     def logits_tensor(self, tape: ad.Tape, bound, X) -> ad.Tensor:
         raise NotImplementedError
@@ -218,14 +218,11 @@ class Model:
         """Full log-distribution over classes for one sample."""
         if not self.is_classifier:
             raise ValueError(f"{self.spec.kind} has no class logits")
-        tape = ad.Tape()
-        bound = tape.bind(self.params)
-        logits = self.logits_tensor(tape, bound, self._check_inputs(np.asarray(x)[None, :]))
-        return ad.log_softmax(logits).data[0]
+        return self.run(np.asarray(x)[None, :]).log_probs[0]
 
     def predictions(self, X) -> np.ndarray:
-        """``DensePass.predictions`` over ``X``."""
-        return self.dense_pass(X).predictions
+        """The pass's ``predictions`` over ``X``."""
+        return self.run(X).predictions
 
     def layer_input(self, X, k: int) -> np.ndarray:
         """The input of dense layer ``k`` for each row of ``X``, or of each row
@@ -255,114 +252,6 @@ class Model:
         if y.min(initial=0) < 0 or y.max(initial=0) >= self.num_classes:
             raise ValueError(f"label out of range [0, {self.num_classes}): {y}")
         return y
-
-
-class Dense(Model):
-    """A stack of dense layers over features: a W0 + b0, then an activation
-    and the next layer for each hidden width. Without hidden layers it is
-    ``logreg``, the softmax linear classifier, or ``linear_regressor``,
-    whose one output column is the mean of its Gaussian head."""
-
-    @staticmethod
-    def layout(spec: ModelSpec):
-        dims = (spec.input_dim, *spec.hidden, max(spec.num_classes, 1))
-        layout, fan = [], {}
-        for i in range(len(dims) - 1):
-            layout += [(f"W{i}", (dims[i], dims[i + 1])), (f"b{i}", (dims[i + 1],))]
-            fan[f"W{i}"] = dims[i]
-            fan[f"b{i}"] = dims[i]
-        return layout, fan
-
-    def logits_tensor(self, tape, bound, X):
-        h = tape.constant(X)
-        n_layers = len(self.spec.hidden) + 1
-        for i in range(n_layers):
-            h = ad.bias_add(ad.matmul(h, bound[f"W{i}"]), bound[f"b{i}"])
-            if i < n_layers - 1:
-                h = self._activate(h)
-        return h
-
-    def dense_layers(self):
-        return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
-
-
-class TinyAttention(Model):
-    """One attention block over token ids, mean-pooled into a linear head.
-
-    Token and position embeddings are summed, passed through single-head
-    scaled dot-product attention, a two-layer feed-forward, mean pooling
-    over positions, then the class head. Position embeddings make the model
-    order-sensitive. Inputs are (batch, seq) integer ids; sequences are
-    processed one at a time on the shared tape.
-    """
-
-    @staticmethod
-    def layout(spec: ModelSpec):
-        v, d, c = spec.input_dim, spec.embed_dim, spec.num_classes
-        h = spec.hidden[0] if spec.hidden else d
-        layout = [
-            ("emb", (v, d)), ("pos", (spec.max_len, d)),
-            ("Wq", (d, d)), ("Wk", (d, d)), ("Wv", (d, d)),
-            ("Wf1", (d, h)), ("bf1", (h,)), ("Wf2", (h, d)), ("bf2", (d,)),
-            ("Wh", (d, c)), ("bh", (c,)),
-        ]
-        fan = {"emb": d, "pos": d, "Wq": d, "Wk": d, "Wv": d,
-               "Wf1": d, "bf1": d, "Wf2": h, "bf2": h, "Wh": d, "bh": d}
-        return layout, fan
-
-    def _check_inputs(self, X) -> np.ndarray:
-        X = np.asarray(X)
-        if X.ndim != 2:
-            raise ad.ShapeMismatch("tiny_attention", f"want (batch, seq) ids, got {X.shape}")
-        X = X.astype(np.int64)
-        if X.shape[1] > self.spec.max_len:
-            raise ad.ShapeMismatch("tiny_attention",
-                                   f"sequence length {X.shape[1]} > max_len {self.spec.max_len}")
-        if X.min() < 0 or X.max() >= self.spec.input_dim:
-            raise ValueError(f"token id out of range [0, {self.spec.input_dim})")
-        return X
-
-    def _logits_single(self, tape, bound, ids: np.ndarray) -> ad.Tensor:
-        t = len(ids)
-        x = ad.add(ad.embedding(bound["emb"], ids),
-                   ad.embedding(bound["pos"], np.arange(t)))
-        q = ad.matmul(x, bound["Wq"])
-        k = ad.matmul(x, bound["Wk"])
-        v = ad.matmul(x, bound["Wv"])
-        att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
-                                  1.0 / math.sqrt(self.spec.embed_dim)))
-        ctx = ad.matmul(att, v)
-        f = ad.bias_add(ad.matmul(self._activate(
-            ad.bias_add(ad.matmul(ctx, bound["Wf1"]), bound["bf1"])), bound["Wf2"]), bound["bf2"])
-        pooled = ad.mean_rows(f)
-        return ad.bias_add(ad.matmul(pooled, bound["Wh"]), bound["bh"])
-
-    def loss_mean(self, tape, X, y) -> ad.Tensor:
-        # No stack primitive in the op set: accumulate per-sequence scalar
-        # losses with add and rescale by 1/B.
-        X = self._check_inputs(X)
-        y = self.check_labels(y)
-        bound = tape.bind(self.params)
-        total = None
-        for i in range(len(X)):
-            term = ad.nll(ad.log_softmax(self._logits_single(tape, bound, X[i])), int(y[i]))
-            total = term if total is None else ad.add(total, term)
-        return ad.scale(total, 1.0 / len(X))
-
-    def predictions(self, X) -> np.ndarray:
-        X = self._check_inputs(X)
-        preds = np.empty(len(X), dtype=np.int64)
-        for i in range(len(X)):
-            tape = ad.Tape()
-            bound = tape.bind(self.params)
-            preds[i] = int(np.argmax(self._logits_single(tape, bound, X[i]).data))
-        return preds
-
-    def log_probs(self, ids) -> np.ndarray:
-        tape = ad.Tape()
-        bound = tape.bind(self.params)
-        logits = self._logits_single(tape, bound, self._check_inputs(np.asarray(ids)[None, :])[0])
-        return ad.log_softmax(logits).data
 
 
 def _dense_layer(a: np.ndarray, W: np.ndarray, b: np.ndarray,
@@ -397,8 +286,9 @@ class DensePass:
     ``params`` may stack such blocks in a (jobs, parameters) array, with ``X``
     (jobs, rows, features): every array then gains a leading job axis, as
     ``training`` uses to run several fine-tunes at once. The pass checks
-    neither inputs nor labels: ``Model.dense_pass`` checks the inputs, and
-    labels arrive as ``Model.check_labels`` returns them.
+    neither inputs nor labels: ``Model.run`` checks the inputs, and labels
+    arrive as ``Model.check_labels`` returns them. ``TapePass`` gives a
+    model without dense layers the same interface.
     """
 
     def __init__(self, model: Model, params: np.ndarray | None = None, start: int = 0):
@@ -531,6 +421,154 @@ class DensePass:
             grad_b[..., 0, :] = d.sum(axis=-2)
         self._inputs = None
         return value, self._grad
+
+
+class TapePass(DensePass):
+    """``DensePass``'s interface on the tape, for a model without dense layers
+    (tiny_attention, so ``start`` is 0). Each job is the model over one row
+    of a (jobs, parameters) block, or over its own vector: a view, so it sees
+    in-place updates. A job's batch loss is recorded on one tape, each row's
+    log-likelihood gradient on a tape of its own, and ``output`` on one tape
+    per job at its first read after each ``run``. A 2-D batch is shared by
+    every job."""
+
+    def __init__(self, model: Model, params: np.ndarray | None = None, start: int = 0):
+        self.model = model
+        block = model.params.data if params is None else params
+        self._stacked, self._grad, self._jobs = block.ndim == 2, np.empty(block.shape), []
+        for row in block.reshape(-1, block.shape[-1]):
+            vector = copy.copy(model.params)  # the segment table, over the row
+            vector.data = row
+            self._jobs.append(type(model)(model.spec, vector))
+
+    def run(self, X: np.ndarray) -> "TapePass":
+        self._X = X if X.ndim == 3 else [X] * len(self._jobs)  # each job's batch
+        self._output, self._log_probs = None, None
+        return self
+
+    @property
+    def output(self) -> np.ndarray:
+        if self._output is None:
+            logits = []
+            for job, rows in zip(self._jobs, self._X):
+                tape = ad.Tape()
+                bound = tape.bind(job.params)
+                logits.append([job._logits_single(tape, bound, ids).data for ids in rows])
+            self._output = np.array(logits if self._stacked else logits[0])
+        return self._output
+
+    def factors(self, y) -> list[tuple]:
+        """One block over the whole vector: a column of ones as A, and each
+        row's log-likelihood gradient as Delta."""
+        (job,), (X,) = self._jobs, self._X
+        grads = np.array(ad.per_sample_gradients(job, X, y))
+        return [(slice(0, job.num_params), None, np.ones((len(X), 1)), grads)]
+
+    def loss_gradient(self, y) -> tuple[float, np.ndarray]:
+        values, grads = np.empty(len(self._jobs)), self._grad.reshape(len(self._jobs), -1)
+        for j, (job, rows, labels) in enumerate(zip(self._jobs, self._X,
+                                                    y if self._stacked else [y])):
+            tape = ad.Tape()
+            out = job.loss_mean(tape, rows, labels)
+            values[j], grads[j] = out.data, tape.gradient(1.0, output=out)
+        return (values if self._stacked else values[0]), self._grad
+
+
+class Dense(Model):
+    """A stack of dense layers over features: a W0 + b0, then an activation
+    and the next layer for each hidden width. Without hidden layers it is
+    ``logreg``, the softmax linear classifier, or ``linear_regressor``,
+    whose one output column is the mean of its Gaussian head."""
+
+    pass_class = DensePass
+
+    @staticmethod
+    def layout(spec: ModelSpec):
+        dims = (spec.input_dim, *spec.hidden, max(spec.num_classes, 1))
+        layout, fan = [], {}
+        for i in range(len(dims) - 1):
+            layout += [(f"W{i}", (dims[i], dims[i + 1])), (f"b{i}", (dims[i + 1],))]
+            fan[f"W{i}"] = dims[i]
+            fan[f"b{i}"] = dims[i]
+        return layout, fan
+
+    def logits_tensor(self, tape, bound, X):
+        h = tape.constant(X)
+        n_layers = len(self.spec.hidden) + 1
+        for i in range(n_layers):
+            h = ad.bias_add(ad.matmul(h, bound[f"W{i}"]), bound[f"b{i}"])
+            if i < n_layers - 1:
+                h = self._activate(h)
+        return h
+
+    def dense_layers(self):
+        return tuple((f"W{i}", f"b{i}") for i in range(len(self.spec.hidden) + 1))
+
+
+class TinyAttention(Model):
+    """One attention block over token ids, mean-pooled into a linear head.
+
+    Token and position embeddings are summed, passed through single-head
+    scaled dot-product attention, a two-layer feed-forward, mean pooling
+    over positions, then the class head. Position embeddings make the model
+    order-sensitive. Inputs are (batch, seq) integer ids; sequences are
+    processed one at a time on the shared tape.
+    """
+
+    pass_class = TapePass
+
+    @staticmethod
+    def layout(spec: ModelSpec):
+        v, d, c = spec.input_dim, spec.embed_dim, spec.num_classes
+        h = spec.hidden[0] if spec.hidden else d
+        layout = [
+            ("emb", (v, d)), ("pos", (spec.max_len, d)),
+            ("Wq", (d, d)), ("Wk", (d, d)), ("Wv", (d, d)),
+            ("Wf1", (d, h)), ("bf1", (h,)), ("Wf2", (h, d)), ("bf2", (d,)),
+            ("Wh", (d, c)), ("bh", (c,)),
+        ]
+        fan = {"emb": d, "pos": d, "Wq": d, "Wk": d, "Wv": d,
+               "Wf1": d, "bf1": d, "Wf2": h, "bf2": h, "Wh": d, "bh": d}
+        return layout, fan
+
+    def _check_inputs(self, X) -> np.ndarray:
+        X = np.asarray(X)
+        if X.ndim != 2:
+            raise ad.ShapeMismatch("tiny_attention", f"want (batch, seq) ids, got {X.shape}")
+        X = X.astype(np.int64)
+        if X.shape[1] > self.spec.max_len:
+            raise ad.ShapeMismatch("tiny_attention",
+                                   f"sequence length {X.shape[1]} > max_len {self.spec.max_len}")
+        if X.min() < 0 or X.max() >= self.spec.input_dim:
+            raise ValueError(f"token id out of range [0, {self.spec.input_dim})")
+        return X
+
+    def _logits_single(self, tape, bound, ids: np.ndarray) -> ad.Tensor:
+        t = len(ids)
+        x = ad.add(ad.embedding(bound["emb"], ids),
+                   ad.embedding(bound["pos"], np.arange(t)))
+        q = ad.matmul(x, bound["Wq"])
+        k = ad.matmul(x, bound["Wk"])
+        v = ad.matmul(x, bound["Wv"])
+        att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)),
+                                  1.0 / math.sqrt(self.spec.embed_dim)))
+        ctx = ad.matmul(att, v)
+        f = ad.bias_add(ad.matmul(self._activate(
+            ad.bias_add(ad.matmul(ctx, bound["Wf1"]), bound["bf1"])), bound["Wf2"]), bound["bf2"])
+        pooled = ad.mean_rows(f)
+        return ad.bias_add(ad.matmul(pooled, bound["Wh"]), bound["bh"])
+
+    def loss_mean(self, tape, X, y) -> ad.Tensor:
+        # No stack primitive in the op set: accumulate per-sequence scalar
+        # losses with add and rescale by 1/B.
+        X = self._check_inputs(X)
+        y = self.check_labels(y)
+        bound = tape.bind(self.params)
+        total = None
+        for i in range(len(X)):
+            term = ad.nll(ad.log_softmax(self._logits_single(tape, bound, X[i])), int(y[i]))
+            total = term if total is None else ad.add(total, term)
+        return ad.scale(total, 1.0 / len(X))
 
 
 _CLASSES = {"logreg": Dense, "mlp": Dense, "tiny_attention": TinyAttention,

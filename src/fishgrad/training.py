@@ -5,14 +5,15 @@ mask are provably untouched (bit-identical before and after any run). Both
 optimizers (``sgd_step``, ``adam_step``) step only the flat indices they are
 given, every index for dense training (no mask), and Adam's state is
 allocated only for those. Every fine-tune runs in one loop (``_run_jobs``)
-with one of two step sources: on a model with dense layers, jobs run the
-layers below k, the first their masks reach, once ahead of training and step
-layers k.. together (``_train_heads``), through one ``DensePass`` built over
-the group's parameter block and built again only when a job leaves, so a
-batch costs its gather, one forward and one backward pass, and an in-place
-optimizer step; on tiny_attention, a job steps its whole model on the tape
-(``_train_model``). The loss is fixed by the model head (negative
-log-likelihood for classifiers, mean squared error for regressors).
+with one step source (``_train_heads``): jobs run the layers below k, the
+first dense layer their masks reach (0 for tiny_attention, which has none),
+once ahead of training and step layers k.. together, through one pass of the
+model's ``pass_class`` built over the group's parameter block and built
+again only when a job leaves. On a dense stack a batch costs its gather, one
+forward and one backward pass, and an in-place optimizer step;
+tiny_attention's ``TapePass`` steps each job on the tape. The loss is fixed
+by the model head (negative log-likelihood for classifiers, mean squared
+error for regressors).
 ``TrainConfig.metric`` is the one validation metric: it is read after every
 epoch, early stopping fires after ``patience`` epochs without a strictly
 better reading (but only once the best reading has cleared the stop
@@ -27,9 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from . import autodiff as ad
 from . import metrics as met
-from . import models as mz
 from ._check import integer, real
 from .fisher import Mask
 
@@ -167,10 +166,13 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
     and, with some kernels, with the row's position in it: so a shorter batch
     runs the frozen layers itself, and ``_train_heads`` checks a full one."""
     n, m = len(inputs), min(batch_size, len(inputs))
-    rows = np.empty((n, model.params.segment(model.dense_layers()[k][0]).shape[0]))
+    rows = None
     for start in range(0, n, batch_size):
         s = min(start, n - m)
-        rows[s:s + m] = model.layer_input(inputs[s:s + m], k)
+        chunk = model.layer_input(inputs[s:s + m], k)
+        if rows is None:  # float64 activations, or tiny_attention's int ids
+            rows = np.empty((n, *chunk.shape[1:]), chunk.dtype)
+        rows[s:s + m] = chunk
     return rows
 
 
@@ -257,22 +259,22 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
     return outcomes
 
 
-def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
-    """The stacked step source: jobs whose equal layers 0..k-1 are frozen
-    (none, at k = 0) step layers k.. as a (jobs, parameters) block through
-    ``DensePass``. The frozen layers run once per split, and the labels are
-    checked once. The pass over the block, with its layer views and its
-    gradient buffer, is built at the first step and again only after a job
-    leaves, when ``_run_jobs`` hands over a new block. A step gathers each
-    live job's own batch into a (jobs, batch, width) input (a short batch
-    runs the frozen layers on the stacked rows). The first full batch is
-    checked byte for byte against each job run alone: a sample that relies
-    on the kernels treating every full batch of the group as they treat the
-    first. If only the cached frozen rows differ, every batch runs the frozen
-    layers itself. A group of one steps its own 2-D batch, the pass the
-    check compares against, so it cannot fail."""
+def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfgs,
+                 metric: str):
+    """The step source: jobs whose equal layers 0..k-1 are frozen (none, at
+    k = 0) step the parameters from ``start``, layer k's weight, as a (jobs,
+    parameters) block through the model's pass. The frozen layers run once
+    per split, and the labels are checked once. The pass over the block,
+    with its views and its gradient buffer, is built at the first step and
+    again only after a job leaves, when ``_run_jobs`` hands over a new block.
+    A step gathers each live job's own batch into a (jobs, batch, width)
+    input (a short batch runs the frozen layers on the stacked rows). The
+    first full batch is checked byte for byte against each job run alone: a
+    sample that relies on the kernels treating every full batch of the group
+    as they treat the first. If only the cached frozen rows differ, every
+    batch runs the frozen layers itself. A group of one steps its own 2-D
+    batch, the pass the check compares against, so it cannot fail."""
     model, n, size = models[0], len(train_ds), cfgs[0].batch_size
-    offset = model.params.segment(model.dense_layers()[k][0]).offset
     rows = _frozen_rows(model, k, train_ds.inputs, size)
     valid_rows = model.layer_input(valid_ds.inputs, k)
     labels = model.check_labels(train_ds.labels)
@@ -282,7 +284,7 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
     def step(ids, block, check):
         nonlocal rows, held, out
         if block is not held:  # the first step, or a job has left
-            held, out = block, mz.DensePass(model, block[0] if lone else block, k)
+            held, out = block, model.pass_class(model, block[0] if lone else block, k)
         own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
         if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
             rows = None  # per batch from now
@@ -291,7 +293,7 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
         x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
         values, grads = out.run(x).loss_gradient(labels[sub])
         for j, own_params in enumerate(block if check and not lone else ()):
-            own = mz.DensePass(model, own_params, k).run(own_x[j])  # the job's pass run alone
+            own = model.pass_class(model, own_params, k).run(own_x[j])  # the job run alone
             value, grad = own.loss_gradient(labels[ids[j]])
             pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
                      (grad, grads[j])]
@@ -300,28 +302,12 @@ def _train_heads(models, selections, k: int, train_ds, valid_ds, cfgs, metric: s
         return values.reshape(len(block)), grads.reshape(len(block), -1)
 
     def read(params):
-        preds = mz.DensePass(model, params, k).run(valid_rows).predictions
+        preds = model.pass_class(model, params, k).run(valid_rows).predictions
         return [partial(met.evaluate, metric, p, valid_ds.labels) for p in preds]
 
-    return _run_jobs(models, [s - offset for s in selections],
-                     np.stack([m.params.data[offset:] for m in models]), train_ds, cfgs,
+    return _run_jobs(models, [s - start for s in selections],
+                     np.stack([m.params.data[start:] for m in models]), train_ds, cfgs,
                      step, read)
-
-
-def _train_model(models, selections, k: int, train_ds, valid_ds, cfgs, metric: str):
-    """The whole-model step source, for tiny_attention: ``ad.loss_gradient``
-    on the model, whose parameters the block views, and ``metrics.score``.
-    It has no stacked step, so a group of several fails at once."""
-    if len(models) > 1:
-        return None
-    model = models[0]
-
-    def step(ids, block, check):
-        value, grad = ad.loss_gradient(model, train_ds.inputs[ids[0]], train_ds.labels[ids[0]])
-        return np.array([value]), grad[None]
-
-    return _run_jobs(models, selections, model.params.data[None], train_ds, cfgs, step,
-                     lambda params: [partial(met.score, metric, model, valid_ds)])
 
 
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
@@ -330,9 +316,8 @@ def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
     ``UndefinedMetric`` it ended with. Masks and metrics are checked before
     any job runs. Jobs on models of one spec whose masks first reach the
     same dense layer k, whose models hold equal layers 0..k-1 and whose
-    configs differ at most in the seed run as one group, through one step
-    source (``_train_heads``, or ``_train_model`` without dense layers). A
-    group that fails its first-batch check runs again as groups of one.
+    configs differ at most in the seed run as one group (``_train_heads``).
+    A group that fails its first-batch check runs again as groups of one.
     Losses, readings and parameters are the same either way."""
     groups: dict = {}
     for j, (model, mask, cfg) in enumerate(zip(models, masks, cfgs)):
@@ -341,14 +326,12 @@ def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
         k, start = _first_trained_layer(model, selected)
         key = (model.spec, k, model.params.data[:start].tobytes(),
                astuple(replace(cfg, seed=0)), metric)
-        groups.setdefault(key, (k, metric, []))[2].append((j, selected))
+        groups.setdefault(key, (k, start, metric, []))[3].append((j, selected))
     outcomes: list = [None] * len(models)
-    for k, metric, jobs in groups.values():
-        source = _train_heads if models[jobs[0][0]].dense_layers() else _train_model
-
+    for k, start, metric, jobs in groups.values():
         def run(group):  # each job's outcome, or None after a failed check
-            return source([models[j] for j, _ in group], [s for _, s in group], k, train_ds,
-                          valid_ds, [cfgs[j] for j, _ in group], metric)
+            return _train_heads([models[j] for j, _ in group], [s for _, s in group], k, start,
+                                train_ds, valid_ds, [cfgs[j] for j, _ in group], metric)
 
         for (j, _), outcome in zip(jobs, run(jobs) or [run([job])[0] for job in jobs]):
             outcomes[j] = outcome

@@ -105,7 +105,7 @@ class TestFiniteDifferenceOracle:
         assert rel.max() <= 1e-5
 
 
-DENSE_SPECS = [
+PASS_SPECS = [
     mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=1),
     mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=3, seed=2),
     mz.ModelSpec("mlp", input_dim=5, hidden=(7, 6), num_classes=3, seed=3,
@@ -114,26 +114,55 @@ DENSE_SPECS = [
     mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=2, seed=5),
     # DensePass sums fewer than 8 classes one by one, and more with numpy.
     mz.ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=10, seed=6),
+    mz.ModelSpec("tiny_attention", input_dim=24, hidden=(8,), num_classes=3, seed=7,
+                 embed_dim=6, max_len=6),
 ]
-DENSE_IDS = ["logreg", "mlp-tanh", "mlp-relu-2-hidden", "linear_regressor", "mlp-two-class",
-             "mlp-ten-class"]
+PASS_IDS = ["logreg", "mlp-tanh", "mlp-relu-2-hidden", "linear_regressor", "mlp-two-class",
+            "mlp-ten-class", "tiny_attention"]
+
+
+def batch(spec, rng, *shape):
+    """Inputs and labels of the given leading shape for ``spec``."""
+    if spec.kind == "tiny_attention":
+        X = rng.integers(0, spec.input_dim, size=(*shape, spec.max_len))
+    else:
+        X = rng.normal(size=(*shape, spec.input_dim))
+    if spec.kind == "linear_regressor":
+        return X, rng.normal(size=shape)
+    return X, rng.integers(0, spec.num_classes, size=shape)
+
+
+def tape_logits(model, X):
+    """Each row's output on the tape: the whole batch on one tape for a dense
+    stack, one tape per sequence for tiny_attention."""
+    if model.dense_layers():
+        tape = ad.Tape()
+        return [model.logits_tensor(tape, tape.bind(model.params), X)]
+    rows = []
+    for ids in X:
+        tape = ad.Tape()
+        rows.append(model._logits_single(tape, tape.bind(model.params), ids))
+    return rows
+
+
+def test_every_kind_has_a_pass_spec():
+    """Each model kind names its pass and is checked against the tape below,
+    so a kind added without a pass fails here."""
+    assert {spec.kind for spec in PASS_SPECS} == set(mz._CLASSES)
+    assert all(issubclass(cls.pass_class, mz.DensePass) for cls in mz._CLASSES.values())
 
 
 class TestDensePassMatchesTape:
-    """The untaped dense path gives the tape's loss, gradient and outputs
-    byte for byte."""
+    """Every model kind's pass, the untaped dense path or tiny_attention's
+    ``TapePass``, gives the tape's loss, gradient, predictions and
+    log-probabilities byte for byte."""
 
     @pytest.mark.parametrize("n", [1, 7, 32])  # 1/7 is inexact
-    @pytest.mark.parametrize("spec", DENSE_SPECS, ids=DENSE_IDS)
+    @pytest.mark.parametrize("spec", PASS_SPECS, ids=PASS_IDS)
     def test_loss_gradient_and_predictions(self, spec, n):
         model = mz.build(spec)
-        rng = np.random.default_rng(n)
-        X = rng.normal(size=(n, spec.input_dim))
-        if spec.kind == "linear_regressor":
-            y = rng.normal(size=n)
-        else:
-            y = rng.integers(0, spec.num_classes, size=n)
-        assert model.dense_pass(X) is not None
+        X, y = batch(spec, np.random.default_rng(n), n)
+        assert isinstance(model.run(X), model.pass_class)
         tape = ad.Tape()
         out = model.loss_mean(tape, X, y)
         taped = tape.gradient(1.0, output=out)
@@ -141,33 +170,32 @@ class TestDensePassMatchesTape:
         assert value == float(out.data)
         assert grad.tobytes() == taped.tobytes()
 
-        tape = ad.Tape()
-        out = model.logits_tensor(tape, tape.bind(model.params), X).data
+        logits = tape_logits(model, X)
+        out = np.concatenate([np.atleast_2d(t.data) for t in logits])
         expected = out[:, 0] if spec.kind == "linear_regressor" else np.argmax(out, axis=1)
         got = model.predictions(X)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+        for x in X if model.is_classifier else ():  # one row, as the tape gives it alone
+            want = ad.log_softmax(tape_logits(model, x[None])[0]).data.reshape(-1)
+            assert model.log_probs(x).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("spec", DENSE_SPECS, ids=DENSE_IDS)
+    @pytest.mark.parametrize("spec", PASS_SPECS, ids=PASS_IDS)
     def test_each_stacked_job_equals_its_own_pass(self, spec):
         """With a leading job axis, each job's loss and gradient are those of
         its own pass, byte for byte."""
         model = mz.build(spec)
         rng = np.random.default_rng(7)
-        X = rng.normal(size=(3, 7, spec.input_dim))
-        if spec.kind == "linear_regressor":
-            y = rng.normal(size=(3, 7))
-        else:
-            y = rng.integers(0, spec.num_classes, size=(3, 7))
+        X, y = batch(spec, rng, 3, 7)
         block = model.params.data + rng.normal(scale=0.1, size=(3, model.num_params))
-        values, grads = mz.DensePass(model, block).run(X).loss_gradient(y)
+        values, grads = model.pass_class(model, block).run(X).loss_gradient(y)
         for j in range(3):
-            value, grad = mz.DensePass(model, block[j]).run(X[j]).loss_gradient(y[j])
+            value, grad = model.pass_class(model, block[j]).run(X[j]).loss_gradient(y[j])
             assert value.tobytes() == values[j].tobytes()
             assert grad.tobytes() == grads[j].tobytes()
 
     def test_label_count_checked(self):
-        model = mz.build(DENSE_SPECS[0])
+        model = mz.build(PASS_SPECS[0])
         X = np.zeros((3, 6))
         with pytest.raises(ad.ShapeMismatch, match="nll"):
             ad.loss_gradient(model, X, [0, 1])

@@ -425,6 +425,15 @@ class TestManifest:
         monkeypatch.setattr(cli.rep, "render_heatmap", broken_heatmap)
         assert cli.main(argv) == 3
         assert {p.name: p.read_bytes() for p in (w / "rpt").iterdir()} == before
+        # A report of other grids would write other bytes, had any file been written.
+        cli.main(["grid", "--data", str(w / "d.jsonl"),
+                  "--model-config", '{"kind": "logreg", "seed": 3}',
+                  "--mode", "fish", "--sparsity-levels", "0.3",
+                  "--sample-levels", "4", "--seeds", "1",
+                  "--config", '{"max_epochs": 2}', "--out", str(w / "b.json")])
+        argv[4] = str(w / "b.json")
+        assert cli.main(argv) == 3
+        assert {p.name: p.read_bytes() for p in (w / "rpt").iterdir()} == before
 
     def test_svg_references_manifest(self, workspace, capsys):
         w = workspace

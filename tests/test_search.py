@@ -483,11 +483,11 @@ class TestRunGrid:
             groups.append((k, len(models), done is not None))
             return done
 
-        def whole_model(*args):
-            raise AssertionError("a dense job stepped the whole model")
+        def on_tape(*args):
+            raise AssertionError("a dense job stepped on the tape")
 
         monkeypatch.setattr(tr, "_train_heads", heads)
-        monkeypatch.setattr(tr, "_train_model", whole_model)
+        monkeypatch.setattr(mz.TapePass, "loss_gradient", on_tape)
         grid = sr.GridSpec((0.4, 0.2), (16, 4), "fish_random", (0,))
         grids = [sr.run_grid(replace(grid, mode=mode), task, spec, quick_cfg()).to_json()
                  for mode in sr.MODES]
@@ -530,7 +530,7 @@ class TestRunGrid:
         task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
         passes = []
         monkeypatch.setattr(mz.DensePass, "loss_gradient", lambda *a: passes.append(a))
-        monkeypatch.setattr(tr.ad, "loss_gradient", lambda *a: passes.append(a))
+        monkeypatch.setattr(mz.TapePass, "loss_gradient", lambda *a: passes.append(a))
         with pytest.raises(ValueError, match=match):
             spec = sr.GridSpec(sparsity, samples, mode, (0, 1))
             sr.run_grid(spec, task, mz.ModelSpec("mlp", input_dim=8, hidden=(400,),

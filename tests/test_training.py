@@ -210,7 +210,8 @@ class TestTrainMasked:
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
-        monkeypatch.setattr(tr.ad, "loss_gradient", no_step)
+        for step_source in (mz.DensePass, mz.TapePass):
+            monkeypatch.setattr(step_source, "loss_gradient", no_step)
         train, valid = blob_task(seed=0)
         model = mz.build(mz.ModelSpec("logreg", input_dim=6, num_classes=2, seed=0))
         with pytest.raises(ValueError, match="incompatible"):
@@ -534,13 +535,13 @@ class TestFrozenLayers:
         """A mask that reaches layer 0 trains the whole model: a model with
         dense layers steps the stacked pass from layer 0, byte for byte as
         the full-model loop does; tiny_attention alone steps on the tape."""
-        whole, real_model = [], tr._train_model
+        whole, real_step = [], mz.TapePass.loss_gradient
 
-        def spy(*args):
-            whole.append(args)
-            return real_model(*args)
+        def spy(self, y):
+            whole.append(y)
+            return real_step(self, y)
 
-        monkeypatch.setattr(tr, "_train_model", spy)
+        monkeypatch.setattr(mz.TapePass, "loss_gradient", spy)
         spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == kind.split("-")[0])
         model, ref = mz.build(spec), mz.build(spec)
         if kind.startswith("mlp"):
@@ -558,11 +559,12 @@ class TestFrozenLayers:
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8)
         report = tr.train_masked(model, mask, train, valid, cfg)
+        on_tape = bool(whole)  # the reference's own steps come after
         losses, readings = reference_fine_tune(ref, None if mask is None else mask.selected,
                                                train, valid, cfg)
         assert (report.train_losses, report.val_metrics) == (losses, readings)
         assert model.params.data.tobytes() == ref.params.data.tobytes()
-        assert len(whole) == (spec.kind == "tiny_attention")
+        assert on_tape == (spec.kind == "tiny_attention")
 
 
 def output_mask(model, step):
@@ -635,6 +637,21 @@ class TestGroupLoop:
         outcomes = tr.train_group(models, [output_mask(models[0], 1)] * 7, train, valid, cfgs)
         assert [o.epochs_run for o in outcomes] == [2] * 7
         assert len(built) == 1 + 7 + 2
+
+    def test_attention_jobs_stack(self, monkeypatch):
+        """tiny_attention jobs with different seeds and masks run as one group
+        through ``TapePass``, with no rerun as groups of one."""
+        ds = dio.generate(dio.SyntheticSpec("token_topic", n=40, vocab=24, seq_len=6, seed=0))
+        train, valid = dio.train_valid_split(ds, 0.25, seed=0)
+        spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == "tiny_attention")
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8, seed=s)
+                for s in range(3)]
+        masks = [lambda m, s=s: fi.Mask(np.arange(0, m.num_params, s), 1 / s, m.num_params)
+                 for s in (1, 2, 3)]
+        outcomes, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train,
+                                          valid, cfgs)
+        assert groups == [(3, True)]
+        assert len({o.final_hash for o in outcomes}) == 3
 
     def test_xor_head_with_a_short_last_batch(self, monkeypatch):
         """The acceptance xor task's 8-400-2 head at batch 32: 450 training
