@@ -229,7 +229,7 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
     Row order follows the file. Malformed rows raise with their line number.
     """
     path = str(path)
-    rows_text, rows_feat, labels_raw = [], [], []
+    rows_text, rows_feat, feat_lines, labels_raw = [], [], [], []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not path.endswith((".jsonl", ".json")):
@@ -253,33 +253,35 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
                     rows_feat.append([float(c) for c in cols[:-1]])
                 except ValueError:
                     raise ValueError(f"line {lineno}: non-numeric feature") from None
+                feat_lines.append(lineno)
             labels_raw.append((lineno, cols[-1]))
     else:
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                raise ValueError(f"line {lineno}: invalid JSON") from None
-            if set(row) == {"manifest"}:
-                continue  # embedded provenance row from the CLI
-            if "features" in row:
-                feats = row["features"]
-                if not isinstance(feats, list) or not all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats):
-                    raise ValueError(f"{path}: line {lineno}: features must be a list of numbers")
-                rows_feat.append([float(v) for v in feats])
-                if len(rows_feat[-1]) != len(rows_feat[0]):
-                    raise ValueError(f"{path}: line {lineno}: {len(rows_feat[-1])} features, "
-                                     f"the first row has {len(rows_feat[0])}")
-            elif "text1" in row:
-                rows_text.append((str(row["text1"]), str(row.get("text2", ""))))
-            else:
-                raise ValueError(f"line {lineno}: need 'features' or 'text1'")
-            if "label" not in row:
-                raise ValueError(f"line {lineno}: missing label")
-            labels_raw.append((lineno, str(row["label"])))
+        try:
+            for lineno, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError:
+                    raise ValueError(f"line {lineno}: invalid JSON") from None
+                if not isinstance(row, dict):
+                    raise ValueError(f"{path}: line {lineno}: a row must be a JSON object")
+                if set(row) == {"manifest"}:
+                    continue  # embedded provenance row from the CLI
+                if "features" in row:
+                    rows_feat.append(row["features"])
+                    feat_lines.append(lineno)
+                elif "text1" in row:
+                    rows_text.append((str(row["text1"]), str(row.get("text2", ""))))
+                else:
+                    raise ValueError(f"line {lineno}: need 'features' or 'text1'")
+                if "label" not in row:
+                    raise ValueError(f"line {lineno}: missing label")
+                labels_raw.append((lineno, str(row["label"])))
+        except ValueError:
+            _feature_array(path, rows_feat, feat_lines)  # an earlier bad row comes first
+            raise
+    inputs = _feature_array(path, rows_feat, feat_lines) if rows_feat else None
     if not labels_raw:
         raise ValueError(f"{path}: no data rows")
     if rows_text and rows_feat:
@@ -289,7 +291,22 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
         feats = np.stack([featurize_text(join_pair(a, b), dim, seed)
                           for a, b in rows_text])
         return Dataset(feats, labels, task, num_classes, texts=rows_text)
-    return Dataset(np.asarray(rows_feat, dtype=np.float64), labels, task, num_classes)
+    return Dataset(inputs, labels, task, num_classes)
+
+
+def _feature_array(path: str, rows: list, lines: list[int]) -> np.ndarray:
+    """The feature lists as one float64 array, their types and lengths checked
+    in bulk; only a bad file is scanned row by row, for the first bad line."""
+    if ({type(r) for r in rows} == {list} and len({len(r) for r in rows}) == 1
+            and {type(v) for r in rows for v in r} <= {int, float}):
+        return np.array(rows, dtype=np.float64)
+    for lineno, feats in zip(lines, rows):
+        if not isinstance(feats, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats):
+            raise ValueError(f"{path}: line {lineno}: features must be a list of numbers")
+        if len(feats) != len(rows[0]):
+            raise ValueError(f"{path}: line {lineno}: {len(feats)} features, "
+                             f"the first row has {len(rows[0])}")
 
 
 def save(dataset: Dataset, path, format: str = "jsonl", manifest: dict | None = None) -> None:

@@ -6,7 +6,10 @@ form (mean of squared per-sample gradients) and the label-expectation form
 (classifiers only: the inner sum runs over all classes weighted by the model's
 own predictive distribution). Masks, like the search's sample halvings, keep
 the top-k scored indices (``top_k_within``) with ties broken toward the
-lowest index so every selection is reproducible.
+lowest index so every selection is reproducible. The selection takes linear
+time: ``np.partition`` finds the k-th score, every higher score is kept, and
+the lowest indices among the scores equal to it fill the rest, which is the
+stable sort's tie rule without the sort.
 
 All three scorers reduce one primitive, each row's squared gradient as
 per-layer blocks (``_squared_blocks``). For a dense layer, row i's weight
@@ -188,17 +191,23 @@ def top_k_within(fisher_values: np.ndarray, candidates: np.ndarray, k: int,
                  keep_largest: bool = True) -> np.ndarray:
     """Rank only ``candidates`` by score and keep k of them, sorted ascending.
 
-    A stable sort on descending score puts earlier candidates first among
-    ties. ``keep_largest=False`` keeps the k lowest-scored candidates
-    instead; the two calls partition the candidate set for complementary-half
-    searches.
+    The order is a stable sort on descending score (earlier candidates first
+    among ties, NaN last), taken in linear time unless a score is NaN.
+    ``keep_largest=False`` keeps the last k of that order instead; the two
+    calls partition the candidate set for complementary-half searches.
     """
     cand = np.asarray(candidates, dtype=np.int64)
     if not 0 <= k <= len(cand):
         raise ValueError(f"k must be in [0, {len(cand)}], got {k}")
-    order = cand[np.argsort(-fisher_values[cand], kind="stable")]
-    kept = order[:k] if keep_largest else order[len(cand) - k:]
-    return np.sort(kept)
+    scores, top = fisher_values[cand], k if keep_largest else len(cand) - k
+    first = np.zeros(len(cand), dtype=bool)  # the first ``top`` of the stable order
+    if np.isnan(scores).any():
+        first[np.argsort(-scores, kind="stable")[:top]] = True
+    elif top:
+        bound = np.partition(scores, len(cand) - top)[len(cand) - top]
+        first = scores > bound
+        first[np.flatnonzero(scores == bound)[:top - np.count_nonzero(first)]] = True
+    return np.sort(cand[first if keep_largest else ~first])
 
 
 def random_mask(num_params: int, sparsity: float, seed: int) -> Mask:

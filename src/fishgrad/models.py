@@ -563,6 +563,8 @@ class TinyAttention(Model):
         # losses with add and rescale by 1/B.
         X = self._check_inputs(X)
         y = self.check_labels(y)
+        if y.shape != X.shape[:1]:
+            raise ad.ShapeMismatch("nll", f"{X.shape[:1]} rows vs {y.shape} targets")
         bound = tape.bind(self.params)
         total = None
         for i in range(len(X)):

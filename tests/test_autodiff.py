@@ -202,6 +202,15 @@ class TestDensePassMatchesTape:
         with pytest.raises(ValueError, match="out of range"):
             ad.loss_gradient(model, X, [0, 1, 3])
 
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 1, 0]], ids=["short", "long"])
+    def test_label_count_checked_on_the_tape(self, labels):
+        model = mz.build(PASS_SPECS[-1])
+        X, _ = batch(PASS_SPECS[-1], np.random.default_rng(0), 3)
+        for call in (lambda: ad.loss_gradient(model, X, labels),
+                     lambda: model.loss_mean(ad.Tape(), X, labels)):
+            with pytest.raises(ad.ShapeMismatch, match=r"nll: \(3,\) rows vs"):
+                call()
+
 
 class TestTapeContract:
     def test_backward_before_forward_raises(self):

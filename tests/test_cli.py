@@ -7,6 +7,7 @@ import time
 import pytest
 
 from fishgrad import cli
+from fishgrad import fisher as fi
 from fishgrad import models as mz
 from fishgrad import training as tr
 
@@ -329,6 +330,16 @@ class TestExitCodes:
         assert str(w / "m.ckpt") in payload["message"]
         assert not (w / "f.json").exists()
 
+    @pytest.mark.parametrize("line", ["5", "null", '"features"', "[1, 2]"])
+    def test_non_object_jsonl_row_is_two(self, workspace, capsys, line):
+        data = workspace / "d.jsonl"
+        data.write_text('{"features": [1.0, 2.0], "label": 0}\n' + line + "\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out",
+                           str(workspace / "out.json"))
+        assert code == 2
+        assert json.loads(err)["message"] == f"{data}: line 2: a row must be a JSON object"
+        assert not (workspace / "out.json").exists()
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "train", "--data", "missing.jsonl",
                            "--out", "r.json")
@@ -465,6 +476,46 @@ class TestModelResolution:
         fisher = json.loads((w / "f.json").read_text())["result"]
         assert fisher["model_hash"] == model.content_hash()
         assert len(fisher["values"]) == model.num_params
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once and reuses it: no call's flags, defaults
+    or handler reach the next, and a patched module is the one that runs."""
+
+    def test_calls_in_one_process_stay_apart(self, workspace, capsys, monkeypatch):
+        w = workspace
+        data = str(w / "d.jsonl")
+        assert run(capsys, "gen-data", "--n", "40", "--dims", "4", "--seed", "5",
+                   "--out", data)[0] == 0
+        code, _, err = run(capsys, "mask", "--random", "--nope", "--out", str(w / "x.json"))
+        assert code == 1 and json.loads(err)["error"] == "usage"
+        assert run(capsys, "gen-data", "--out", str(w / "d0.jsonl"))[0] == 0
+        assert run(capsys, "mask", "--random", "--num-params", "10", "--sparsity", "0.5",
+                   "--out", str(w / "m.json"))[0] == 0
+        assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
+        for path, seed in ((data, 5), (w / "d0.jsonl", 0)):
+            with open(path, encoding="utf-8") as fh:
+                assert json.loads(fh.readline())["manifest"]["master_seed"] == seed
+        mask = json.loads((w / "m.json").read_text())
+        assert mask["manifest"]["command"] == "mask"
+        assert mask["manifest"]["master_seed"] == 0
+        assert mask["result"]["selected"] == fi.random_mask(10, 0.5, 0).selected.tolist()
+
+        loaded = []
+        load = cli.dio.load
+        monkeypatch.setattr(cli.dio, "load", lambda path: loaded.append(path) or load(path))
+        assert cli.main(["grid", "--data", data, "--model-config", '{"kind": "logreg"}',
+                         "--sparsity-levels", "0.5", "--sample-levels", "4",
+                         "--config", '{"max_epochs": 1}', "--out", str(w / "g.json")]) == 0
+        assert loaded == [data]
+
+        def broken_heatmap(*args, **kwargs):
+            raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(cli.rep, "render_heatmap", broken_heatmap)
+        code, _, err = run(capsys, "report", "--baseline", str(w / "g.json"),
+                           "--candidate", str(w / "g.json"), "--out", str(w / "rpt"))
+        assert code == 3 and json.loads(err)["message"] == "renderer failed"
 
 
 def _numeric_options() -> list[tuple[str, str, type]]:

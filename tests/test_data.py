@@ -1,5 +1,6 @@
 """Loaders, featurization, splits and synthetic generators."""
 
+import json
 import math
 import os
 from pathlib import Path
@@ -143,6 +144,67 @@ class TestLoadJsonl:
                         '{"features": [1.0], "label": 0}\n'
                         '{"features": [2.0], "label": 1}\n')
         assert len(dio.load(path)) == 2
+
+
+GOOD = '{"features": [1.0, 2.0], "label": 0}'
+MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
+    ("bool-feature", [GOOD, '{"features": [1.0, true], "label": 1}'],
+     "{path}: line 2: features must be a list of numbers"),
+    ("string-feature", [GOOD, '{"features": [1.0, "2"], "label": 1}'],
+     "{path}: line 2: features must be a list of numbers"),
+    ("null-feature", [GOOD, GOOD, '{"features": [null, 2.0], "label": 1}'],
+     "{path}: line 3: features must be a list of numbers"),
+    ("features-an-object", [GOOD, '{"features": {"a": 1}, "label": 1}'],
+     "{path}: line 2: features must be a list of numbers"),
+    ("features-a-string", [GOOD, '{"features": "12", "label": 1}'],
+     "{path}: line 2: features must be a list of numbers"),
+    ("first-row-bad", ['{"features": [true, 2.0], "label": 1}', GOOD],
+     "{path}: line 1: features must be a list of numbers"),
+    ("ragged-line-4", [GOOD, GOOD, "", '{"features": [1.0, 2.0, 3.0], "label": 1}'],
+     "{path}: line 4: 3 features, the first row has 2"),
+    ("bad-type-before-ragged", [GOOD, '{"features": [1.0], "label": 1}',
+                                '{"features": [false], "label": 1}'],
+     "{path}: line 2: 1 features, the first row has 2"),
+    ("non-object-number", [GOOD, "5"], "{path}: line 2: a row must be a JSON object"),
+    ("non-object-null", [GOOD, "null"], "{path}: line 2: a row must be a JSON object"),
+    ("non-object-string", [GOOD, '"features"'], "{path}: line 2: a row must be a JSON object"),
+    ("non-object-list", [GOOD, '["manifest"]'], "{path}: line 2: a row must be a JSON object"),
+    ("bad-feature-then-invalid-json", [GOOD, '{"features": [1.0, true], "label": 1}', "{"],
+     "{path}: line 2: features must be a list of numbers"),
+    ("bad-feature-without-label", [GOOD, '{"features": [1.0, "x"]}'],
+     "{path}: line 2: features must be a list of numbers"),
+    ("bad-feature-then-non-object", [GOOD, '{"features": 3, "label": 1}', "5"],
+     "{path}: line 2: features must be a list of numbers"),
+    ("ragged-then-bad-label", [GOOD, '{"features": [1.0], "label": 1}',
+                               '{"features": [1.0, 2.0], "label": "cat"}'],
+     "{path}: line 2: 1 features, the first row has 2"),
+    ("invalid-json-then-bad-feature", [GOOD, "{", '{"features": [true], "label": 1}'],
+     "line 2: invalid JSON"),
+    ("good-features-then-missing-label", [GOOD, '{"features": [1.0, 2.0]}'],
+     "line 2: missing label"),
+]
+
+
+class TestMalformedJsonl:
+    """Every malformed row gives its first bad line, whichever check finds it."""
+
+    @pytest.mark.parametrize("lines,message", [case[1:] for case in MALFORMED_JSONL],
+                             ids=[case[0] for case in MALFORMED_JSONL])
+    def test_first_bad_line_is_named(self, tmp_path, lines, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as exc:
+            dio.load(path)
+        assert str(exc.value) == message.replace("{path}", str(path))
+
+    def test_features_convert_as_python_floats(self, tmp_path):
+        rows = [[1, 2.5, -0.0], [2 ** 53 + 1, -3, 1e-310], [10 ** 20, 0, 2 ** 64 + 3]]
+        path = tmp_path / "ints.jsonl"
+        path.write_text("".join(json.dumps({"features": r, "label": i % 2}) + "\n"
+                                for i, r in enumerate(rows)))
+        inputs = dio.load(path).inputs
+        assert inputs.dtype == np.float64
+        assert inputs.tobytes() == np.array([[float(v) for v in r] for r in rows]).tobytes()
 
 
 class TestFeaturize:

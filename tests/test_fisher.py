@@ -193,6 +193,63 @@ class TestTopKMask:
                 fi.top_k_mask(diag, sparsity=bad)
 
 
+def stable_sort_top_k(values, candidates, k, keep_largest=True):
+    """The stable-sort rule that ``top_k_within`` reproduces in linear time."""
+    cand = np.asarray(candidates, dtype=np.int64)
+    order = cand[np.argsort(-values[cand], kind="stable")]
+    return np.sort(order[:k] if keep_largest else order[len(cand) - k:])
+
+
+def scores_of(kind, n, rng):
+    if kind == "random":
+        return rng.random(n)
+    values = rng.integers(0, 3, size=n).astype(float)  # three values: ties everywhere
+    if kind == "nan":
+        values[rng.random(n) < 0.3] = np.nan
+    elif kind == "signed-zero-inf":
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 1.0])[rng.integers(0, 5, size=n)]
+    return values
+
+
+class TestTopKWithin:
+    @pytest.mark.parametrize("kind", ["random", "ties", "nan", "signed-zero-inf"])
+    def test_matches_stable_sort_oracle(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for n in [*range(1, 40), 4402]:
+            values = scores_of(kind, n, rng)
+            cand = rng.permutation(n)[:rng.integers(1, n + 1)]  # unsorted candidates
+            for k in sorted({0, 1, int(rng.integers(0, len(cand) + 1)), len(cand)}):
+                fwd = fi.top_k_within(values, cand, k)
+                inv = fi.top_k_within(values, cand, len(cand) - k, keep_largest=False)
+                np.testing.assert_array_equal(fwd, stable_sort_top_k(values, cand, k))
+                np.testing.assert_array_equal(
+                    inv, stable_sort_top_k(values, cand, len(cand) - k, keep_largest=False))
+                assert fi.top_k_within(values, cand, k, keep_largest=False).tolist() == \
+                    stable_sort_top_k(values, cand, k, keep_largest=False).tolist()
+                # the two directions partition the candidate set
+                assert len(np.intersect1d(fwd, inv)) == 0
+                np.testing.assert_array_equal(np.sort(np.concatenate([fwd, inv])), np.sort(cand))
+
+    def test_boundary_ties_go_to_the_earliest_candidates(self):
+        values = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
+        cand = np.array([3, 0, 2, 1, 4])
+        # candidate order among the ties at 2.0: 3, then 2, then 1
+        np.testing.assert_array_equal(fi.top_k_within(values, cand, 2), [2, 3])
+        np.testing.assert_array_equal(fi.top_k_within(values, cand, 3, keep_largest=False),
+                                      [0, 1, 4])
+
+    def test_nan_ranks_last(self):
+        values = np.array([np.nan, 0.0, np.nan, -1.0])
+        np.testing.assert_array_equal(fi.top_k_within(values, np.arange(4), 2), [1, 3])
+        np.testing.assert_array_equal(
+            fi.top_k_within(values, np.arange(4), 1, keep_largest=False), [2])
+
+    def test_k_out_of_range(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=r"k must be in \[0, 3\]"):
+                fi.top_k_within(np.ones(5), np.arange(3), k)
+
+
 class TestRandomMask:
     def test_full_sparsity_selects_everything(self):
         mask = fi.random_mask(20, 1.0, seed=0)
