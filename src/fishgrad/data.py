@@ -299,7 +299,10 @@ def _feature_array(path: str, rows: list, lines: list[int]) -> np.ndarray:
     in bulk; only a bad file is scanned row by row, for the first bad line."""
     if ({type(r) for r in rows} == {list} and len({len(r) for r in rows}) == 1
             and {type(v) for r in rows for v in r} <= {int, float}):
-        return np.array(rows, dtype=np.float64)
+        try:
+            return np.array(rows, dtype=np.float64)
+        except OverflowError:
+            pass  # an integer beyond float64's range: the scan names its line
     for lineno, feats in zip(lines, rows):
         if not isinstance(feats, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats):
@@ -307,6 +310,10 @@ def _feature_array(path: str, rows: list, lines: list[int]) -> np.ndarray:
         if len(feats) != len(rows[0]):
             raise ValueError(f"{path}: line {lineno}: {len(feats)} features, "
                              f"the first row has {len(rows[0])}")
+        try:
+            np.array(feats, dtype=np.float64)
+        except OverflowError:
+            raise ValueError(f"{path}: line {lineno}: a feature is too large for a float64") from None
 
 
 def save(dataset: Dataset, path, format: str = "jsonl", manifest: dict | None = None) -> None:

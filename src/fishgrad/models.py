@@ -286,9 +286,9 @@ class DensePass:
     ``params`` may stack such blocks in a (jobs, parameters) array, with ``X``
     (jobs, rows, features): every array then gains a leading job axis, as
     ``training`` uses to run several fine-tunes at once. The pass checks
-    neither inputs nor labels: ``Model.run`` checks the inputs, and labels
-    arrive as ``Model.check_labels`` returns them. ``TapePass`` gives a
-    model without dense layers the same interface.
+    only that there is one label per row: ``Model.run`` checks the inputs,
+    and labels arrive as ``Model.check_labels`` returns them. ``TapePass``
+    gives a model without dense layers the same interface.
     """
 
     def __init__(self, model: Model, params: np.ndarray | None = None, start: int = 0):
@@ -381,6 +381,7 @@ class DensePass:
         gradient at its output; row i's gradient is outer(A[i], Delta[i]) on
         the weight span and Delta[i] on the bias span. The spans index the
         pass's parameter block: the whole vector, for a pass from layer 0."""
+        self._check_count(self.output.shape[:-1], y)
         if self.model.is_classifier:
             delta = -self.probs
             delta[np.arange(len(y)), y] += 1.0
@@ -388,6 +389,12 @@ class DensePass:
             delta = y[:, None] - self.output
         return [(*spans, a, d) for spans, a, d in
                 zip(self._spans, self._inputs, self._deltas(delta))]
+
+    def _check_count(self, rows: tuple, y) -> None:
+        """Raise ``ShapeMismatch`` unless ``y`` has one label per row."""
+        if np.shape(y) != rows:
+            op = "nll" if self.model.is_classifier else "mse"
+            raise ad.ShapeMismatch(op, f"{rows} rows vs {np.shape(y)} targets")
 
     def loss_gradient(self, y) -> tuple[float, np.ndarray]:
         """(mean training loss, its gradient over the pass's parameter
@@ -399,9 +406,7 @@ class DensePass:
         batch's arrays can take their memory while it is still in cache."""
         out = self.output
         m = out.shape[-2]
-        if y.shape != out.shape[:-1]:
-            op = "nll" if self.model.is_classifier else "mse"
-            raise ad.ShapeMismatch(op, f"{out.shape[:-1]} rows vs {y.shape} targets")
+        self._check_count(out.shape[:-1], y)
         if self.model.is_classifier:
             # The tape's delta, g - p * sum(g) with g = -1/m at the label, is
             # p / m less 1/m at the label, byte for byte: sum(g) is -1/m.
@@ -461,6 +466,7 @@ class TapePass(DensePass):
         """One block over the whole vector: a column of ones as A, and each
         row's log-likelihood gradient as Delta."""
         (job,), (X,) = self._jobs, self._X
+        self._check_count((len(X),), y)
         grads = np.array(ad.per_sample_gradients(job, X, y))
         return [(slice(0, job.num_params), None, np.ones((len(X), 1)), grads)]
 

@@ -8,8 +8,8 @@ diagonal scores recomputed on the surviving samples, and scores again. Every
 score is the last validation reading, on ``TrainConfig.metric``, of a masked
 fine-tune of a fresh copy of the initial model, so recorded scores are
 mutually comparable. No score feeds back into the search: a run plans its
-whole trajectory first, then runs the fine-tunes in groups
-(``training.train_group``). The inverse variant keeps the below-median
+whole trajectory first, then runs its fine-tunes in one
+``training.train_group`` call. The inverse variant keeps the below-median
 halves at both decision points instead and is used as a sanity control: it
 should not beat the forward search.
 
@@ -28,7 +28,7 @@ import signal
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import accumulate, groupby, takewhile
+from itertools import takewhile
 
 import numpy as np
 
@@ -120,24 +120,23 @@ def _score_from_json(value) -> float:
 
 def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, str]]:
     """Fine-tune a fresh copy of the model of each planned job, (model, mask,
-    train seed, target), on the full training split, a group at a time; set
-    and return each target's score and status: ``ok``, or NaN with ``diverged``
-    (a non-finite score too) or ``undefined`` (no metric on its predictions)."""
-    for group in _groups(plan):
-        outcomes = tr.train_group(
-            [model.clone() for model, *_ in group], [mask for _, mask, _, _ in group],
-            train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed, _ in group])
-        for (*_, target), outcome in zip(group, outcomes):
-            target.score = math.nan
-            target.status = "undefined" if isinstance(outcome, UndefinedMetric) else "diverged"
-            if isinstance(outcome, tr.TrainReport) and math.isfinite(outcome.val_metrics[-1]):
-                target.score, target.status = outcome.val_metrics[-1], "ok"
-    return [(target.score, target.status) for *_, target in plan]
+    train seed, target), on the full training split, in one
+    ``training.train_group`` call: each job's score and status, ``ok``, or NaN
+    with ``diverged`` (a non-finite score too) or ``undefined`` (no metric on
+    its predictions)."""
+    outcomes = tr.train_group(
+        [model.clone() for model, *_ in plan], [mask for _, mask, _, _ in plan],
+        train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed, _ in plan])
+    return [(o.val_metrics[-1], "ok")
+            if isinstance(o, tr.TrainReport) and math.isfinite(o.val_metrics[-1])
+            else (math.nan, "undefined" if isinstance(o, UndefinedMetric) else "diverged")
+            for o in outcomes]
 
 
-def _groups(plan) -> list[list]:
-    """Runs of planned jobs of one model: one group each."""
-    return [list(run) for _, run in groupby(plan, key=lambda job: id(job[0]))]
+def _settle(plan, results) -> None:
+    """Give each planned job's target its (score, status) from ``results``."""
+    for (*_, target), (score, status) in zip(plan, results):
+        target.score, target.status = score, status
 
 
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
@@ -155,7 +154,7 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     cfg = cfg or IRDConfig()
     trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg.seed,
                               inverse)
-    _fine_tune(plan, train_ds, valid_ds, cfg)
+    _settle(plan, _fine_tune(plan, train_ds, valid_ds, cfg))
     return trace
 
 
@@ -365,7 +364,8 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
     coordinates), making results independent of execution order. Every
     seed's cells and trace are planned, and all scoring done, here before any
     fine-tune runs, so a bad schedule raises first; the fine-tunes then run
-    in up to ``max_workers`` processes, with the same results for any count.
+    in up to ``max_workers`` processes, each given whole seeds, with the same
+    results for any count.
     Each master seed builds its own model from ``model_spec``, with an init
     seed derived from both.
     """
@@ -375,7 +375,14 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
     for seed in spec.seeds:
         model = mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
         plans.append((seed, *_plan_seed(spec, task, model, seed)))
-    _fine_tune_chunks([job for _, plan, _ in plans for job in plan], task, cfg, max_workers)
+    # A slice of whole seeds per worker and usable core, all but the first
+    # forked, on Linux before Python 3.12 (it warns on a fork with BLAS threads).
+    forks = hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
+    workers = max(1, min(max_workers, _usable_cores(), len(plans))) if forks else 1
+    cuts = [i * len(plans) // workers for i in range(workers + 1)]
+    slices = [[job for _, plan, _ in plans[a:b] for job in plan] for a, b in zip(cuts, cuts[1:])]
+    _settle(sum(slices, []), sum(_in_workers(
+        [partial(_fine_tune, jobs, task.train, task.valid, cfg) for jobs in slices]), []))
     cells, traces = [], []
     for seed, plan, trace in plans:
         if trace is None:
@@ -393,38 +400,29 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fine_tune_chunks(plan, task: Task, cfg: IRDConfig, max_workers: int) -> None:
-    """Run the planned jobs (see ``_fine_tune``) in up to one contiguous chunk
-    of whole groups per worker and usable core, the first here and each other
-    in a forked child (``_fork``), and set each target's score and status.
-    On Linux before Python 3.12, which warns on a fork with threads (BLAS's)."""
-    groups = _groups(plan)
-    forks = hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
-    workers = max(1, min(max_workers, _usable_cores(), len(groups))) if forks else 1
-    starts = list(accumulate([0] + [len(group) for group in groups]))
-    cuts = sorted({min(starts, key=lambda s: abs(workers * s - i * len(plan)))
-                   for i in range(workers + 1)})  # the group starts nearest even cuts
-    chunks = [plan[a:b] for a, b in zip(cuts, cuts[1:])] or [[]]
+def _in_workers(works) -> list:
+    """The results of the calls ``works``: the first made here, each other in
+    a forked child (``_fork``). A child's exception is raised again here, and
+    once any call fails the children still running are killed."""
     children, results = [], []
     try:
-        for chunk in chunks[1:]:
-            children.append(_fork(partial(_fine_tune, chunk, task.train, task.valid, cfg)))
-        results.append(_fine_tune(chunks[0], task.train, task.valid, cfg))
+        for work in works[1:]:
+            children.append(_fork(work))
+        results.append(works[0]())
         for pid, read_fd in children:
             data = b"".join(iter(partial(os.read, read_fd, 1 << 16), b""))
             value = pickle.loads(data) if data else RuntimeError(
-                f"fine-tune worker {pid} exited without a result")
+                f"worker {pid} exited without a result")
             if isinstance(value, BaseException):
                 raise value
             results.append(value)
     finally:
         for pid, read_fd in children:
-            if len(results) < len(chunks):  # a chunk failed: stop the rest
+            if len(results) < len(works):  # a call failed: stop the rest
                 os.kill(pid, signal.SIGKILL)
             os.close(read_fd)
             os.waitpid(pid, 0)
-    for (*_, target), (score, status) in zip(plan, sum(results, [])):
-        target.score, target.status = score, status
+    return results
 
 
 def _fork(work) -> tuple[int, int]:

@@ -4,16 +4,16 @@ Each batch gradient is projected onto the mask, so coordinates outside the
 mask are provably untouched (bit-identical before and after any run). Both
 optimizers (``sgd_step``, ``adam_step``) step only the flat indices they are
 given, every index for dense training (no mask), and Adam's state is
-allocated only for those. Every fine-tune runs in one loop (``_run_jobs``)
-with one step source (``_train_heads``): jobs run the layers below k, the
-first dense layer their masks reach (0 for tiny_attention, which has none),
-once ahead of training and step layers k.. together, through one pass of the
-model's ``pass_class`` built over the group's parameter block and built
-again only when a job leaves. On a dense stack a batch costs its gather, one
-forward and one backward pass, and an in-place optimizer step;
-tiny_attention's ``TapePass`` steps each job on the tape. The loss is fixed
-by the model head (negative log-likelihood for classifiers, mean squared
-error for regressors).
+allocated only for those. Every fine-tune runs in one loop
+(``_train_heads``): jobs run the layers below k, the first dense layer their
+masks reach (0 for tiny_attention, which has none), once ahead of training
+and step layers k.. together, through one pass of the model's
+``pass_class`` built over the group's parameter block and built again only
+when a job leaves. On a dense stack a batch costs its gather, one forward
+and one backward pass, and an in-place optimizer step; tiny_attention's
+``TapePass`` steps each job on the tape. The loss is fixed by the model head
+(negative log-likelihood for classifiers, mean squared error for
+regressors).
 ``TrainConfig.metric`` is the one validation metric: it is read after every
 epoch, early stopping fires after ``patience`` epochs without a strictly
 better reading (but only once the best reading has cleared the stop
@@ -24,7 +24,6 @@ run's score.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -176,45 +175,78 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
     return rows
 
 
-def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
-    """The fine-tune loop. Job j steps coordinates ``sel[j]`` of row j of
-    ``block`` (jobs, parameters), the trailing parameters of ``models[j]``;
-    configs differ at most in the seed. ``step(ids, block, check)`` gives
-    each live job's loss and gradient on its training rows ``ids`` (jobs,
-    batch), or (None, None) if ``check`` (the first batch) fails; ``block``
-    stays one array, updated in place, until a job leaves, and the gradient
-    is read before the next step. ``read(params)`` gives one thunk per row
-    of a (jobs, parameters) block, the job's validation reading. Returns
-    each job's outcome, or None after a failed check. A job leaves, its
-    parameters written back, when it stops early, diverges or reads an
+def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfgs,
+                 metric: str):
+    """The fine-tune loop. Job j steps coordinates ``selections[j]`` of
+    ``models[j]`` from ``start``, layer k's weight; the jobs' layers 0..k-1
+    (none, at k = 0) are equal and frozen, and their configs differ at most
+    in the seed. The frozen layers run once per split, and the labels are
+    checked once. The jobs step as one (jobs, parameters) block, updated in
+    place, through one pass of the model, both built again only when a job
+    leaves. A step gathers each live job's own batch into a (jobs, batch,
+    width) input (a short batch runs the frozen layers on the stacked rows).
+    The first full batch is checked byte for byte against each job run
+    alone: a sample that relies on the kernels treating every full batch of
+    the group as they treat the first. If only the cached frozen rows
+    differ, every batch runs the frozen layers itself. A lone job steps its
+    own 2-D batch, the pass the check compares against, so it cannot fail.
+    Returns each job's outcome, or None after a failed check. A job leaves,
+    its parameters written back, when it stops early, diverges or reads an
     undefined metric."""
-    cfg, n, size = cfgs[0], len(train_ds), cfgs[0].batch_size
-    offset = models[0].num_params - block.shape[1]
+    model, cfg, n, size = models[0], cfgs[0], len(train_ds), cfgs[0].batch_size
+    rows = _frozen_rows(model, k, train_ds.inputs, size)
+    valid_rows = model.layer_input(valid_ds.inputs, k)
+    labels = model.check_labels(train_ds.labels)
+    sel, lone = [s - start for s in selections], len(models) == 1
+    block = np.stack([m.params.data[start:] for m in models])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     losses, readings = [[] for _ in models], [[] for _ in models]
     outcomes, live = [None] * len(models), list(range(len(models)))
     state = AdamState.for_size(sum(len(s) for s in sel))
+    out = flat = None  # the block's pass, and the live jobs' coordinates in the flat block
 
     def leave(done: dict) -> np.ndarray:
         """Retire each job in ``done`` (to its error, or stopped early or not)."""
-        nonlocal block, flat
+        nonlocal block, out, flat
         keep = np.array([j not in done for j in live], dtype=bool)
         for row in np.flatnonzero(~keep):
             j = live[row]
-            models[j].params.data[offset:] = block[row]
+            models[j].params.data[start:] = block[row]
             outcomes[j] = done[j] if isinstance(done[j], Exception) else TrainReport(
                 len(losses[j]), losses[j], readings[j], done[j], models[j].content_hash())
         coords = np.repeat(keep, [len(sel[j]) for j in live])
         state.m, state.v = state.m[coords], state.v[coords]
-        block, live[:], flat = block[keep], [j for j in live if j not in done], None
+        block, live[:], out, flat = block[keep], [j for j in live if j not in done], None, None
         return keep
 
-    flat = None  # each live job's selected coordinates in the flattened block
+    def step(ids, check):
+        """Each live job's loss and gradient on its rows ``ids`` (jobs,
+        batch), or (None, None) if ``check`` fails. Returning frees the
+        batch's input and the check's passes before the next gather."""
+        nonlocal rows, out
+        if out is None:
+            out = model.pass_class(model, block[0] if lone else block, k)
+        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
+        if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
+            rows = None  # per batch from now
+        sub = ids[0] if lone else ids
+        cached = rows is not None and ids.shape[1] == min(size, n)
+        x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
+        values, grads = out.run(x).loss_gradient(labels[sub])
+        for j, own_params in enumerate(block if check and not lone else ()):
+            own = model.pass_class(model, own_params, k).run(own_x[j])  # the job run alone
+            value, grad = own.loss_gradient(labels[ids[j]])
+            pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
+                     (grad, grads[j])]
+            if any(a.tobytes() != b.tobytes() for a, b in pairs):
+                return None, None
+        return values.reshape(len(block)), grads.reshape(len(block), -1)
+
     for epoch in range(cfg.max_epochs):
         perms = np.stack([rngs[j].permutation(n) for j in live])
         batch_losses = np.empty((len(live), -(-n // size)))
-        for bi, start in enumerate(range(0, n, size)):
-            values, grads = step(perms[:, start:start + size], block, epoch == bi == 0)
+        for bi, begin in enumerate(range(0, n, size)):
+            values, grads = step(perms[:, begin:begin + size], epoch == bi == 0)
             if values is None:
                 return None
             finite = np.isfinite(values)
@@ -241,73 +273,23 @@ def _run_jobs(models, sel, block, train_ds, cfgs, step, read):
                 done[j] = TrainingDiverged(epoch + 1, batch_losses.shape[1],
                                            updated[~np.isfinite(updated)][0], "parameters")
         readable = [row for row, j in enumerate(live) if j not in done]
-        for row, reading in zip(readable, read(block[readable])):
+        preds = model.pass_class(model, block[readable], k).run(valid_rows).predictions
+        for row, p in zip(readable, preds):
             j = live[row]
             losses[j].append(float(np.mean(batch_losses[row])))
             try:
-                readings[j].append(reading())
+                readings[j].append(met.evaluate(metric, p, valid_ds.labels))
             except met.UndefinedMetric as exc:
                 done[j] = exc
                 continue
             if early_stop_check(readings[j], cfg.patience, cfg.stop_threshold):
                 done[j] = True
-        if done:  # a block that views a model's parameters must stay a view
+        if done:  # leaving copies the block, and the pass is built again
             leave(done)
         if not live:
             return outcomes
     leave(dict.fromkeys(live, False))
     return outcomes
-
-
-def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfgs,
-                 metric: str):
-    """The step source: jobs whose equal layers 0..k-1 are frozen (none, at
-    k = 0) step the parameters from ``start``, layer k's weight, as a (jobs,
-    parameters) block through the model's pass. The frozen layers run once
-    per split, and the labels are checked once. The pass over the block,
-    with its views and its gradient buffer, is built at the first step and
-    again only after a job leaves, when ``_run_jobs`` hands over a new block.
-    A step gathers each live job's own batch into a (jobs, batch, width)
-    input (a short batch runs the frozen layers on the stacked rows). The
-    first full batch is checked byte for byte against each job run alone: a
-    sample that relies on the kernels treating every full batch of the group
-    as they treat the first. If only the cached frozen rows differ, every
-    batch runs the frozen layers itself. A group of one steps its own 2-D
-    batch, the pass the check compares against, so it cannot fail."""
-    model, n, size = models[0], len(train_ds), cfgs[0].batch_size
-    rows = _frozen_rows(model, k, train_ds.inputs, size)
-    valid_rows = model.layer_input(valid_ds.inputs, k)
-    labels = model.check_labels(train_ds.labels)
-    lone = len(models) == 1
-    held, out = None, None  # the block the pass was built over, and the pass
-
-    def step(ids, block, check):
-        nonlocal rows, held, out
-        if block is not held:  # the first step, or a job has left
-            held, out = block, model.pass_class(model, block[0] if lone else block, k)
-        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
-        if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
-            rows = None  # per batch from now
-        sub = ids[0] if lone else ids
-        cached = rows is not None and ids.shape[1] == min(size, n)
-        x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
-        values, grads = out.run(x).loss_gradient(labels[sub])
-        for j, own_params in enumerate(block if check and not lone else ()):
-            own = model.pass_class(model, own_params, k).run(own_x[j])  # the job run alone
-            value, grad = own.loss_gradient(labels[ids[j]])
-            pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
-                     (grad, grads[j])]
-            if any(a.tobytes() != b.tobytes() for a, b in pairs):
-                return None, None
-        return values.reshape(len(block)), grads.reshape(len(block), -1)
-
-    def read(params):
-        preds = model.pass_class(model, params, k).run(valid_rows).predictions
-        return [partial(met.evaluate, metric, p, valid_ds.labels) for p in preds]
-
-    return _run_jobs(models, [s - start for s in selections],
-                     np.stack([m.params.data[start:] for m in models]), train_ds, cfgs,
-                     step, read)
 
 
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:

@@ -182,6 +182,11 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
      "line 2: invalid JSON"),
     ("good-features-then-missing-label", [GOOD, '{"features": [1.0, 2.0]}'],
      "line 2: missing label"),
+    ("int-beyond-float64", [GOOD, GOOD, '{"features": [1.0, 1%s], "label": 1}' % ("0" * 400)],
+     "{path}: line 3: a feature is too large for a float64"),
+    ("int-beyond-float64-then-missing-label", ['{"features": [-1%s, 2.0], "label": 1}' % ("0" * 400),
+                                               '{"features": [1.0, 2.0]}'],
+     "{path}: line 1: a feature is too large for a float64"),
 ]
 
 

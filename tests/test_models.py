@@ -132,6 +132,25 @@ class TestLogProb:
             log_prob(model, np.array([np.nan, 0.0]), 0)
 
 
+class TestPassLabelCount:
+    @pytest.mark.parametrize("count", [2, 4], ids=["short", "long"])
+    @pytest.mark.parametrize("spec", mz.zoo_specs(), ids=lambda spec: spec.kind)
+    def test_factors_take_one_label_per_row(self, spec, count):
+        """Every kind's pass checks the label count before its factors, as
+        its loss gradient does, and names the batch's rows."""
+        model, rng = mz.build(spec), np.random.default_rng(0)
+        if spec.kind == "tiny_attention":
+            X = rng.integers(0, spec.input_dim, size=(3, spec.max_len))
+        else:
+            X = rng.normal(size=(3, spec.input_dim))
+        y = model.check_labels(rng.integers(0, 2, size=4) if model.is_classifier
+                               else rng.normal(size=4))
+        op = "nll" if model.is_classifier else "mse"
+        with pytest.raises(ad.ShapeMismatch, match=rf"^{op}: \(3,\) rows vs \({count},\) targets$"):
+            model.run(X).factors(y[:count])
+        assert len(model.run(X).factors(y[:3])[-1][3]) == 3
+
+
 class TestGaussianLogProb:
     def setup_method(self):
         self.model = mz.build(mz.ModelSpec("linear_regressor", input_dim=2,

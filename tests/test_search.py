@@ -377,9 +377,10 @@ class TestRunGrid:
 
     @FORKS
     def test_grid_fine_tunes_in_forked_workers(self, blob_splits, monkeypatch, tmp_path):
-        """max_workers=4 runs six seeds' groups of three in four processes,
-        the caller's and three forked ones, but never splits a group: two
-        seeds' groups run in two. No child, thread or fd is left behind."""
+        """max_workers=4 runs six seeds in four processes, the caller's and
+        three forked ones, but never splits a seed: two seeds run in two.
+        Each process makes one train_group call. No child, thread or fd is
+        left behind."""
         monkeypatch.setattr(sr, "_usable_cores", lambda: 4)
         train, valid = blob_splits
         real = tr.train_group
@@ -395,7 +396,9 @@ class TestRunGrid:
                         sr.Task(train, valid),
                         mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
                         quick_cfg(), max_workers=max_workers)
-            return set((tmp_path / "pids").read_text().split())
+            calls = (tmp_path / "pids").read_text().split()
+            assert sorted(calls) == sorted(set(calls))  # one train_group call per process
+            return set(calls)
 
         monkeypatch.setattr(tr, "train_group", spy)
         before = self.process_state()
@@ -460,6 +463,33 @@ class TestRunGrid:
         together, apart = grids[0].to_json(), [g.to_json() for g in grids[1:]]
         assert together["cells"] == apart[0]["cells"] + apart[1]["cells"]
         assert together["traces"] == apart[0]["traces"] + apart[1]["traces"]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["ird", "fish_random"])
+    def test_a_repeated_seed_repeats_its_cells(self, blob_splits, monkeypatch, mode,
+                                               max_workers):
+        """A master seed given twice gives its cells and trace twice. In one
+        process the two equal models' jobs train as groups twice the size."""
+        monkeypatch.setattr(sr, "_usable_cores", lambda: 2)
+        sizes, real_heads = [], tr._train_heads
+
+        def spy(models, *args):
+            sizes[-1].append(len(models))
+            return real_heads(models, *args)
+
+        monkeypatch.setattr(tr, "_train_heads", spy)
+        grids = []
+        for seeds in [(5,), (5, 5)]:
+            sizes.append([])
+            grids.append(sr.run_grid(
+                sr.GridSpec((0.4, 0.2), (16, 4), mode, seeds), sr.Task(*blob_splits),
+                mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=3, seed=0),
+                quick_cfg(), max_workers=max_workers).to_json())
+        once, twice = grids
+        assert twice["cells"] == once["cells"] * 2
+        assert twice["traces"] == once["traces"] * 2
+        if max_workers == 1:
+            assert sizes[1] == [2 * n for n in sizes[0]]
 
     @pytest.mark.parametrize("kind", ["logreg", "linear_regressor", "mlp"])
     def test_dense_jobs_never_step_the_whole_model(self, kind, blob_splits, monkeypatch):
