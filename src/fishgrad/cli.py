@@ -28,7 +28,7 @@ from . import models as mz
 from . import report as rep
 from . import training as tr
 from ._check import integer, real
-from .fileio import write_atomic
+from .fileio import read_result, write_atomic
 
 
 class UsageError(Exception):
@@ -182,7 +182,8 @@ def _cmd_mask(args, started: float) -> int:
         mask = fi.random_mask(args.num_params, args.sparsity, args.seed)
         config["num_params"] = args.num_params
     elif args.fisher:
-        mask = fi.top_k_mask(fi.fisher_from_json(_read_result(args.fisher)), sparsity=args.sparsity)
+        fisher = fi.fisher_from_json(read_result(args.fisher, fi.FISHER_KEYS))
+        mask = fi.top_k_mask(fisher, sparsity=args.sparsity)
         inputs = {"fisher": args.fisher}
     else:
         raise UsageError("need --fisher or --random")
@@ -194,7 +195,7 @@ def _cmd_mask(args, started: float) -> int:
 def _cmd_train(args, started: float) -> int:
     dataset = dio.load(args.data)
     model = _resolve_model(args, dataset)
-    mask = fi.mask_from_json(_read_result(args.mask)) if args.mask else None
+    mask = fi.mask_from_json(read_result(args.mask, fi.MASK_KEYS)) if args.mask else None
     cfg = _train_config(args)
     train_ds, valid_ds = _split(dataset, args)
     result = tr.train_masked(model, mask, train_ds, valid_ds, cfg)
@@ -252,12 +253,6 @@ def _cmd_grid(args, started: float) -> int:
     manifest = _manifest("grid", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, result.to_json(), started)
     return 0
-
-
-def _read_result(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return d.get("result", d)
 
 
 def _cmd_report(args, started: float) -> int:

@@ -197,11 +197,13 @@ def join_pair(text1: str, text2: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _infer_labels(raw: list[tuple[int, str]]):
+def _infer_labels(raw: list[tuple[int, str]], path: str):
     """Classify-vs-regress from label strings; errors carry the line number.
 
     All labels non-negative integers -> classification; any decimal, exponent
-    or negative value -> regression; non-numeric -> error.
+    or negative value -> regression; non-numeric -> error. A class label
+    must be below the row count, which bounds the head's size before
+    anything is allocated.
     """
     floats, all_int = [], True
     for lineno, s in raw:
@@ -215,6 +217,11 @@ def _infer_labels(raw: list[tuple[int, str]]):
                             and "." not in s and "e" not in s.lower()):
             all_int = False
     if all_int:
+        beyond = np.flatnonzero(np.asarray(floats) >= len(raw))
+        if len(beyond):
+            lineno, label = raw[beyond[0]]
+            raise ValueError(f"{path}: line {lineno}: label {label.strip()} must be below "
+                             f"the row count, {len(raw)}")
         labels = np.asarray(floats, dtype=np.int64)
         num_classes = max(2, int(labels.max()) + 1)
         task = "binary" if num_classes == 2 else "multiclass"
@@ -286,7 +293,7 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     if rows_text and rows_feat:
         raise ValueError(f"{path}: mixed text and feature rows")
-    labels, task, num_classes = _infer_labels(labels_raw)
+    labels, task, num_classes = _infer_labels(labels_raw, path)
     if rows_text:
         feats = np.stack([featurize_text(join_pair(a, b), dim, seed)
                           for a, b in rows_text])

@@ -1,6 +1,11 @@
-"""Whole-file writes: a failed write leaves the previous file as it was."""
+"""Whole-file writes: a failed write leaves the previous file as it was.
+Result reads: a file that lacks a key its reader uses fails naming both."""
 
+import json
 import os
+
+_KINDS = {"an object": dict, "a list": list, "a string": str, "a number": (int, float),
+          "an integer": int}
 
 
 def write_atomic(path, content: str | bytes) -> None:
@@ -15,3 +20,36 @@ def write_atomic(path, content: str | bytes) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_result(path, keys: dict) -> dict:
+    """The ``result`` object of a fishgrad JSON file (the whole file, if it
+    has no ``result``), checked against ``keys``: each key its reader uses,
+    with the kind of its value, ``None`` for any, a dict for an object
+    holding those keys in turn, or a one-item list for a list whose items
+    all match that item. A mismatch raises a ``ValueError`` naming the path
+    and the key, for example ``f.json: result.spec.mode must be a string``."""
+    with open(path, encoding="utf-8") as fh:
+        d = json.load(fh)
+    if isinstance(d, dict) and "result" in d:
+        _check(path, "result", d["result"], keys)
+        return d["result"]
+    _check(path, "", d, keys)
+    return d
+
+
+def _check(path, name: str, value, kind) -> None:
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{path}: {name or 'the top level'} must be an object")
+        for key, inner in kind.items():
+            where = f"{name}.{key}" if name else key
+            if key not in value:
+                raise ValueError(f"{path}: {where} is missing")
+            _check(path, where, value[key], inner)
+    elif isinstance(kind, list):
+        _check(path, name, value, "a list")
+        for i, item in enumerate(value):
+            _check(path, f"{name}[{i}]", item, kind[0])
+    elif kind is not None and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
+        raise ValueError(f"{path}: {name} must be {kind}")

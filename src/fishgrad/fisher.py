@@ -226,6 +226,11 @@ def fisher_to_json(f: FisherDiagonal) -> dict:
             "sample_ids": f.sample_ids.tolist(), "values": f.values.tolist()}
 
 
+# The keys each reader below takes from a file, for ``fileio.read_result``.
+FISHER_KEYS = {"values": "a list", "source": "a string", "sample_ids": "a list",
+               "model_hash": None}
+
+
 def fisher_from_json(d: dict) -> FisherDiagonal:
     return FisherDiagonal(np.asarray(d["values"]), d["source"],
                           np.asarray(d["sample_ids"]), d["model_hash"])
@@ -234,6 +239,9 @@ def fisher_from_json(d: dict) -> FisherDiagonal:
 def mask_to_json(m: Mask) -> dict:
     return {"model_hash": m.model_hash, "sparsity": m.sparsity,
             "num_params": m.num_params, "selected": m.selected.tolist()}
+
+
+MASK_KEYS = {"selected": "a list", "sparsity": "a number", "num_params": "an integer"}
 
 
 def mask_from_json(d: dict) -> Mask:

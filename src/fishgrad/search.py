@@ -6,7 +6,7 @@ half of the samples with the largest squared-gradient scores, scores that
 configuration, then keeps the half of the masked parameters with the largest
 diagonal scores recomputed on the surviving samples, and scores again. Every
 score is the last validation reading, on ``TrainConfig.metric``, of a masked
-fine-tune of a fresh copy of the initial model, so recorded scores are
+fine-tune that starts from the initial model, so recorded scores are
 mutually comparable. No score feeds back into the search: a run plans its
 whole trajectory first, then runs its fine-tunes in one
 ``training.train_group`` call. The inverse variant keeps the below-median
@@ -35,7 +35,7 @@ import numpy as np
 from . import models as mz
 from . import training as tr
 from ._check import integer, real
-from .fileio import write_atomic
+from .fileio import read_result, write_atomic
 from .fisher import (Mask, SampleSubset, empirical_fisher, mask_size,
                      sample_scores, top_k_mask, top_k_within)
 from .metrics import UndefinedMetric
@@ -119,13 +119,16 @@ def _score_from_json(value) -> float:
 
 
 def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, str]]:
-    """Fine-tune a fresh copy of the model of each planned job, (model, mask,
-    train seed, target), on the full training split, in one
-    ``training.train_group`` call: each job's score and status, ``ok``, or NaN
-    with ``diverged`` (a non-finite score too) or ``undefined`` (no metric on
-    its predictions)."""
+    """Fine-tune the model of each planned job, (model, mask, train seed,
+    target), on the full training split, in one ``training.train_group``
+    call: each job's score and status, ``ok``, or NaN with ``diverged`` (a
+    non-finite score too) or ``undefined`` (no metric on its predictions).
+    The planned models are passed themselves, not cloned: ``train_group``
+    only reads a model that several jobs share, as every ``ird`` plan's
+    model is, and writes only a model that one job holds, a one-cell seed's
+    model that ``run_grid`` built for it."""
     outcomes = tr.train_group(
-        [model.clone() for model, *_ in plan], [mask for _, mask, _, _ in plan],
+        [model for model, *_ in plan], [mask for _, mask, _, _ in plan],
         train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed, _ in plan])
     return [(o.val_metrics[-1], "ok")
             if isinstance(o, tr.TrainReport) and math.isfinite(o.val_metrics[-1])
@@ -528,7 +531,12 @@ def save_grid(result: GridResult, path, manifest: dict | None = None) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
+GRID_KEYS = {"spec": {"sparsity_levels": "a list", "sample_levels": "a list",
+                      "mode": "a string", "seeds": "a list"},
+             "cells": [{"sparsity": "a number", "n_samples": "an integer",
+                        "seed": "an integer", "score": None}]}
+
+
 def load_grid(path) -> GridResult:
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return GridResult.from_json(d.get("result", d))
+    """A grid result file, its keys checked (``fileio.read_result``)."""
+    return GridResult.from_json(read_result(path, GRID_KEYS))

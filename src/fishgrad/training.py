@@ -23,6 +23,7 @@ run's score.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
@@ -176,7 +177,7 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
 
 
 def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfgs,
-                 metric: str):
+                 metric: str, own):
     """The fine-tune loop. Job j steps coordinates ``selections[j]`` of
     ``models[j]`` from ``start``, layer k's weight; the jobs' layers 0..k-1
     (none, at k = 0) are equal and frozen, and their configs differ at most
@@ -185,18 +186,22 @@ def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfg
     place, through one pass of the model, both built again only when a job
     leaves. A step gathers each live job's own batch into a (jobs, batch,
     width) input (a short batch runs the frozen layers on the stacked rows).
-    The first full batch is checked byte for byte against each job run
-    alone: a sample that relies on the kernels treating every full batch of
-    the group as they treat the first. If only the cached frozen rows
-    differ, every batch runs the frozen layers itself. A lone job steps its
-    own 2-D batch, the pass the check compares against, so it cannot fail.
-    Returns each job's outcome, or None after a failed check. A job leaves,
-    its parameters written back, when it stops early, diverges or reads an
-    undefined metric."""
+    The first full batch is checked bit for bit against each job run alone,
+    one job at a time: a sample that relies on the kernels treating every
+    full batch of the group as they treat the first. If only the cached
+    frozen rows differ, the step runs again from the inputs, and so does
+    every batch after it. A lone job steps its own 2-D batch, the pass the
+    check compares against, so it cannot fail. Returns each job's outcome,
+    or None after a failed check. A job leaves when it stops early,
+    diverges or reads an undefined metric; its parameters are written back
+    only where ``own[j]`` (a model no other job reads), and its report's
+    ``final_hash`` is hashed from the frozen layers and its block row: the
+    ``content_hash`` of its parameters, written back or not."""
     model, cfg, n, size = models[0], cfgs[0], len(train_ds), cfgs[0].batch_size
     rows = _frozen_rows(model, k, train_ds.inputs, size)
     valid_rows = model.layer_input(valid_ds.inputs, k)
     labels = model.check_labels(train_ds.labels)
+    frozen = hashlib.sha256(model.params.data[:start].astype("<f8", copy=False))
     sel, lone = [s - start for s in selections], len(models) == 1
     block = np.stack([m.params.data[start:] for m in models])
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
@@ -211,36 +216,52 @@ def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfg
         keep = np.array([j not in done for j in live], dtype=bool)
         for row in np.flatnonzero(~keep):
             j = live[row]
-            models[j].params.data[start:] = block[row]
+            if own[j]:
+                models[j].params.data[start:] = block[row]
+            digest = frozen.copy()
+            digest.update(block[row].astype("<f8", copy=False))
             outcomes[j] = done[j] if isinstance(done[j], Exception) else TrainReport(
-                len(losses[j]), losses[j], readings[j], done[j], models[j].content_hash())
+                len(losses[j]), losses[j], readings[j], done[j], digest.hexdigest())
         coords = np.repeat(keep, [len(sel[j]) for j in live])
         state.m, state.v = state.m[coords], state.v[coords]
         block, live[:], out, flat = block[keep], [j for j in live if j not in done], None, None
         return keep
 
+    def same(a, b) -> bool:
+        """Bit for bit, in place."""
+        a, b = np.asarray(a), np.asarray(b)
+        return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+            a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+
     def step(ids, check):
         """Each live job's loss and gradient on its rows ``ids`` (jobs,
-        batch), or (None, None) if ``check`` fails. Returning frees the
-        batch's input and the check's passes before the next gather."""
+        batch), or (None, None) if ``check`` fails. The check holds one
+        job's own input and pass at a time, and returning frees the batch's
+        input before the next gather."""
         nonlocal rows, out
         if out is None:
             out = model.pass_class(model, block[0] if lone else block, k)
-        own_x = [model.layer_input(train_ds.inputs[i], k) for i in ids] if check else []
-        if any(a.tobytes() != rows[i].tobytes() for a, i in zip(own_x, ids)):
-            rows = None  # per batch from now
         sub = ids[0] if lone else ids
-        cached = rows is not None and ids.shape[1] == min(size, n)
-        x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
-        values, grads = out.run(x).loss_gradient(labels[sub])
-        for j, own_params in enumerate(block if check and not lone else ()):
-            own = model.pass_class(model, own_params, k).run(own_x[j])  # the job run alone
-            value, grad = own.loss_gradient(labels[ids[j]])
-            pairs = [(own_x[j], x[j]), (own.output, out.output[j]), (value, values[j]),
-                     (grad, grads[j])]
-            if any(a.tobytes() != b.tobytes() for a, b in pairs):
+        while True:
+            cached = rows is not None and ids.shape[1] == min(size, n)
+            x = rows[sub] if cached else model.layer_input(train_ds.inputs[sub], k)
+            values, grads = out.run(x).loss_gradient(labels[sub])
+            for j in range(len(ids) if check else 0):
+                own_x = model.layer_input(train_ds.inputs[ids[j]], k)
+                if not same(own_x, x if lone else x[j]):
+                    break
+                if not lone:
+                    alone = model.pass_class(model, block[j], k).run(own_x)
+                    value, grad = alone.loss_gradient(labels[ids[j]])
+                    if not (same(alone.output, out.output[j]) and same(value, values[j])
+                            and same(grad, grads[j])):
+                        return None, None
+                own_x = alone = None  # freed before the next job's input
+            else:
+                return values.reshape(len(block)), grads.reshape(len(block), -1)
+            if not cached:
                 return None, None
-        return values.reshape(len(block)), grads.reshape(len(block), -1)
+            rows = None  # per batch from now, this batch too
 
     for epoch in range(cfg.max_epochs):
         perms = np.stack([rngs[j].permutation(n) for j in live])
@@ -293,15 +314,18 @@ def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfg
 
 
 def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
-    """Fine-tune ``models[j]`` in place under ``masks[j]`` and ``cfgs[j]``
-    for each job: its report, or the ``TrainingDiverged`` or
-    ``UndefinedMetric`` it ended with. Masks and metrics are checked before
-    any job runs. Jobs on models of one spec whose masks first reach the
-    same dense layer k, whose models hold equal layers 0..k-1 and whose
-    configs differ at most in the seed run as one group (``_train_heads``).
-    A group that fails its first-batch check runs again as groups of one.
-    Losses, readings and parameters are the same either way."""
-    groups: dict = {}
+    """Fine-tune ``models[j]`` under ``masks[j]`` and ``cfgs[j]`` for each
+    job: its report, or the ``TrainingDiverged`` or ``UndefinedMetric`` it
+    ended with. A model object that several jobs share is read, never
+    written: each of its jobs trains and reports as it would on a clone of
+    its own, ``final_hash`` included. A model of one job's own is fine-tuned
+    in place. Masks and metrics are checked before any job runs. Jobs on
+    models of one spec whose masks first reach the same dense layer k, whose
+    models hold equal layers 0..k-1 and whose configs differ at most in the
+    seed run as one group (``_train_heads``). A group that fails its
+    first-batch check runs again as groups of one. Losses, readings and
+    parameters are the same either way."""
+    groups, uses = {}, {}
     for j, (model, mask, cfg) in enumerate(zip(models, masks, cfgs)):
         selected = _check_mask(model, mask)
         metric = met.check_metric(cfg.metric, model, valid_ds)
@@ -309,11 +333,13 @@ def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
         key = (model.spec, k, model.params.data[:start].tobytes(),
                astuple(replace(cfg, seed=0)), metric)
         groups.setdefault(key, (k, start, metric, []))[3].append((j, selected))
+        uses[id(model)] = uses.get(id(model), 0) + 1
     outcomes: list = [None] * len(models)
     for k, start, metric, jobs in groups.values():
         def run(group):  # each job's outcome, or None after a failed check
             return _train_heads([models[j] for j, _ in group], [s for _, s in group], k, start,
-                                train_ds, valid_ds, [cfgs[j] for j, _ in group], metric)
+                                train_ds, valid_ds, [cfgs[j] for j, _ in group], metric,
+                                [uses[id(models[j])] == 1 for j, _ in group])
 
         for (j, _), outcome in zip(jobs, run(jobs) or [run([job])[0] for job in jobs]):
             outcomes[j] = outcome

@@ -330,6 +330,39 @@ class TestExitCodes:
         assert str(w / "m.ckpt") in payload["message"]
         assert not (w / "f.json").exists()
 
+    @pytest.mark.parametrize("command,text,named", [
+        ("train", "[]", "the top level must be an object"),
+        ("train", '{"result": [1]}', "result must be an object"),
+        ("train", '{"result": {"selected": "1", "sparsity": 0.5, "num_params": 4}}',
+         "result.selected must be a list"),
+        ("train", '{"result": {"selected": [1], "sparsity": 0.5, "num_params": true}}',
+         "result.num_params must be an integer"),
+        ("mask", '{"result": 5}', "result must be an object"),
+        ("mask", '{"result": {"source": "empirical"}}', "result.values is missing"),
+        ("report", "[]", "the top level must be an object"),
+        ("report", '{"result": {}}', "result.spec is missing"),
+        ("report", '{"result": {"spec": 5, "cells": []}}', "result.spec must be an object"),
+        ("report", '{"spec": {"sparsity_levels": [0.5], "sample_levels": [4], "mode": "ird",'
+                   ' "seeds": [0]}, "cells": [1]}', "cells[0] must be an object"),
+    ], ids=["mask-a-list", "mask-result-a-list", "mask-selected-a-string",
+            "mask-num-params-a-bool", "fisher-result-a-number", "fisher-without-values",
+            "grid-a-list", "grid-without-spec", "grid-spec-a-number", "grid-cell-a-number"])
+    def test_malformed_result_file_is_two(self, workspace, capsys, command, text, named):
+        """A mask, fisher or grid file read by ``train --mask``, ``mask
+        --fisher`` or ``report`` fails naming its path and the key."""
+        w = workspace
+        cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        bad = w / "bad.json"
+        bad.write_text(text)
+        argv = {"train": ["train", "--data", str(w / "d.jsonl"), "--mask", str(bad)],
+                "mask": ["mask", "--fisher", str(bad), "--sparsity", "0.5"],
+                "report": ["report", "--baseline", str(bad), "--candidate", str(bad)]}[command]
+        code, _, err = run(capsys, *argv, "--out", str(w / "out"))
+        assert code == 2
+        assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {named}"}
+        assert not (w / "out").exists()
+
     @pytest.mark.parametrize("line", ["5", "null", '"features"', "[1, 2]"])
     def test_non_object_jsonl_row_is_two(self, workspace, capsys, line):
         data = workspace / "d.jsonl"

@@ -187,6 +187,15 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
     ("int-beyond-float64-then-missing-label", ['{"features": [-1%s, 2.0], "label": 1}' % ("0" * 400),
                                                '{"features": [1.0, 2.0]}'],
      "{path}: line 1: a feature is too large for a float64"),
+    ("label-2**40", [GOOD, '{"features": [1.0, 2.0], "label": %d}' % 2 ** 40],
+     "{path}: line 2: label 1099511627776 must be below the row count, 2"),
+    ("label-10**30", [GOOD, GOOD, '{"features": [1.0, 2.0], "label": %d}' % 10 ** 30],
+     "{path}: line 3: label %d must be below the row count, 3" % 10 ** 30),
+    ("label-equal-to-row-count", [GOOD, '{"features": [1.0, 2.0], "label": 2}'],
+     "{path}: line 2: label 2 must be below the row count, 2"),
+    ("label-beyond-rows-after-manifest", ['{"manifest": {}}', GOOD, "",
+                                          '{"features": [1.0, 2.0], "label": 2}'],
+     "{path}: line 4: label 2 must be below the row count, 2"),
 ]
 
 
@@ -201,6 +210,12 @@ class TestMalformedJsonl:
         with pytest.raises(ValueError) as exc:
             dio.load(path)
         assert str(exc.value) == message.replace("{path}", str(path))
+
+    def test_labels_up_to_one_below_the_row_count_are_classes(self, tmp_path):
+        path = tmp_path / "classes.jsonl"
+        path.write_text("".join('{"features": [1.0], "label": %d}\n' % i for i in (3, 0, 1, 2)))
+        ds = dio.load(path)
+        assert (ds.task, ds.num_classes) == ("multiclass", 4)
 
     def test_features_convert_as_python_floats(self, tmp_path):
         rows = [[1, 2.5, -0.0], [2 ** 53 + 1, -3, 1e-310], [10 ** 20, 0, 2 ** 64 + 3]]

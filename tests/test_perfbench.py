@@ -69,7 +69,8 @@ def test_every_workload_passes_its_check(tmp_path):
     passes the workload's own check and scores its nominal rows, the count
     ``perfbench/run.py --trace 1`` checks. An argument the benchmark passes
     that fishgrad no longer takes, or a scorer argument the tracer binds by
-    name, fails here, not only in a benchmark run."""
+    name, fails here, not only in a benchmark run. No op clones a model:
+    a grid's fine-tunes read each seed's planned model."""
     tracing = load_tracing()
     for name, workload_class in load_module(WORKLOADS).WORKLOADS.items():
         workload = workload_class()
@@ -81,3 +82,4 @@ def test_every_workload_passes_its_check(tmp_path):
             out = workload.op(state, 0)
         assert workload.check(state, 0, out, True) == [], name
         assert tracer.counts["fisher.rows_scored"] == workload.rows_per_op, name
+        assert tracer.calls["models.clone"] == 0, name

@@ -54,9 +54,13 @@ class TestTraceShape:
         assert [r.iteration for r in trace.records] == [0, 0, 1, 1, 2, 2]
 
     def test_two_by_two_runs_once(self, blob_splits, blob_model):
+        """The shortest search: its two fine-tunes share the caller's model,
+        so they leave it as it was."""
         train, valid = blob_splits
+        before = blob_model.params.data.tobytes()
         trace = sr.ird(blob_model, train, valid, np.array([3, 9]), initial_k=2,
                        cfg=quick_cfg())
+        assert blob_model.params.data.tobytes() == before
         assert len(trace) == 2
         assert trace.sample_sizes() == [2, 1]
         assert trace.mask_sizes() == [2, 1]

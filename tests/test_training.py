@@ -452,7 +452,9 @@ class TestFrozenLayers:
         """Every cell and trace of an ird grid, whose masks come from
         training subsets and whose fine-tunes use the whole training split,
         equals the grid whose planned jobs all run through the full-model
-        loop."""
+        loop. The grid passes each seed's planned model for all its jobs,
+        and ``train_group`` never writes a shared model, so the reference
+        fine-tunes a clone of it."""
         ds = dio.generate(dio.SyntheticSpec("xor_ring", n=160, dims=4, noise=0.3, seed=3))
         task = sr.Task(*dio.train_valid_split(ds, 0.25, seed=0))
         spec = sr.GridSpec((0.2, 0.1, 0.05), (40, 9, 1), "ird", (0, 1))
@@ -464,6 +466,7 @@ class TestFrozenLayers:
         def reference_group(models, masks, train_ds, valid_ds, cfgs):
             outcomes = []
             for model, mask, run_cfg in zip(models, masks, cfgs):
+                model = model.clone()
                 try:
                     losses, readings = reference_fine_tune(model, mask.selected, train_ds,
                                                            valid_ds, run_cfg)
@@ -769,21 +772,77 @@ class TestGroupLoop:
             assert (outcomes[j].train_losses, outcomes[j].val_metrics) == (losses, readings)
             assert models[j].params.data.tobytes() == ref.params.data.tobytes()
 
-    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
+    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step", "later job's rows"])
     def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
         """With the stacked step's gradient one ulp off, the group fails the
         check and every job runs again as a stacked group of one, which steps
         its own pass and passes. With only the cached frozen rows one ulp off,
-        the group recomputes them for every batch and stays stacked."""
-        one_ulp_off(broken, monkeypatch)
+        the group recomputes them for every batch, the first one included,
+        and stays stacked: also when only rows that the second job's first
+        batch draws, and the first job's does not, are off."""
         train, valid = blob_task(seed=9)
+        if broken == "later job's rows":
+            first = [np.random.default_rng(s).permutation(len(train))[:32] for s in (0, 1)]
+            later = np.setdiff1d(first[1], first[0])
+            assert len(later)
+            real_rows, calls = tr._frozen_rows, []
+
+            def off_rows(*args):  # only the group's rows: a lone job 0 would not see them
+                rows = real_rows(*args)
+                if not calls:
+                    rows[later] = np.nextafter(rows[later], np.inf)
+                calls.append(args)
+                return rows
+
+            monkeypatch.setattr(tr, "_frozen_rows", off_rows)
+        else:
+            one_ulp_off(broken, monkeypatch)
+        stacked_inputs, real_input = [], mz.Model.layer_input
+
+        def layer_input(self, X, k):
+            if np.ndim(X) == 3:
+                stacked_inputs.append(len(X))
+            return real_input(self, X, k)
+
+        monkeypatch.setattr(mz.Model, "layer_input", layer_input)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
         cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(3)]
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
                                    cfgs)
-        assert groups == ([(3, True)] if broken == "frozen rows"
-                          else [(3, False), (1, True), (1, True), (1, True)])
+        assert len(train) == 5 * 32
+        if broken == "stacked step":
+            assert groups == [(3, False), (1, True), (1, True), (1, True)]
+            assert stacked_inputs == []
+        else:  # 2 epochs of 5 batches, each from the inputs
+            assert groups == [(3, True)]
+            assert stacked_inputs == [3] * 10
+
+    @pytest.mark.parametrize("broken", [None, "stacked step"])
+    def test_a_shared_model_is_read_not_written(self, broken, monkeypatch):
+        """A model passed for several jobs is bit-identical after
+        ``train_group``, and each job's report, ``final_hash`` included, is
+        the one it gets on a clone of its own; a model passed for one job is
+        fine-tuned in place. The same holds when the group fails its check
+        and its jobs, shared model and all, run again as groups of one."""
+        if broken:
+            one_ulp_off(broken, monkeypatch)
+        train, valid = blob_task(seed=2)
+        spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
+        shared, single = mz.build(spec), mz.build(spec)
+        before = shared.params.data.tobytes()
+        models = [shared, shared, single, shared]
+        masks = [output_mask(shared, 1), None, output_mask(shared, 2), output_mask(shared, 3)]
+        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(4)]
+        outcomes = tr.train_group(models, masks, train, valid, cfgs)
+        assert shared.params.data.tobytes() == before
+        for model, mask, cfg, outcome in zip(models, masks, cfgs, outcomes):
+            clone = mz.build(spec)
+            assert outcome == tr.train_masked(clone, mask, train, valid, cfg)
+            assert outcome.final_hash == clone.content_hash()
+            if model is single:
+                assert model.params.data.tobytes() == clone.params.data.tobytes()
+        assert single.params.data.tobytes() != before
 
     @pytest.mark.parametrize("broken", ["frozen rows", "stacked step"])
     def test_a_group_of_one_passes_its_check(self, broken, monkeypatch):
