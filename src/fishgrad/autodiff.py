@@ -92,12 +92,15 @@ class Tape:
         return self._record("const", (), _as_f64(value), None)
 
     def bind(self, params) -> dict[str, Tensor]:
-        """Register a flat parameter vector; returns one leaf per segment.
+        """Register the tape's one flat parameter vector; returns one leaf
+        per segment. A second ``bind`` raises.
 
         ``params`` needs ``.data`` (flat float64) and ``.segments`` with
         ``name``/``offset``/``shape``/``length`` fields. Gradients assemble
         back into a flat vector aligned with ``params.data``.
         """
+        if self._param_slots:
+            raise ValueError("a tape binds one parameter vector; start a new Tape")
         bound: dict[str, Tensor] = {}
         for seg in params.segments:
             view = np.asarray(params.data[seg.offset:seg.offset + seg.length],
@@ -105,7 +108,7 @@ class Tape:
             t = self._record("param", (), view, None)
             self._param_slots.append((t.node, seg.offset, seg.length))
             bound[seg.name] = t
-        self._num_params = max(self._num_params, len(params.data))
+        self._num_params = len(params.data)
         return bound
 
     # ---- differentiation ----
@@ -166,38 +169,25 @@ def _same_tape(op: str, *tensors: Tensor) -> Tape:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for (m,n)x(n,p) and (n,)x(n,p)."""
+    """a @ b for (m,n)x(n,p)."""
     tape = _same_tape("matmul", a, b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim != 2:
+    if ad.ndim != 2 or bd.ndim != 2:
         raise ShapeMismatch("matmul", f"ranks {ad.ndim} and {bd.ndim} unsupported")
-    if ad.shape[-1] != bd.shape[0]:
+    if ad.shape[1] != bd.shape[0]:
         raise ShapeMismatch("matmul", f"inner dims {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-
-    def backward(g: np.ndarray):
-        if ad.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        return g @ bd.T, np.outer(ad, g)
-
-    return tape._record("matmul", (a.node, b.node), out, backward)
+    return tape._record("matmul", (a.node, b.node), ad @ bd, lambda g: (g @ bd.T, ad.T @ g))
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Row-broadcast bias: (m,n)+(n,) or (n,)+(n,)."""
+    """Row-broadcast bias: (m,n)+(n,)."""
     tape = _same_tape("bias_add", x, b)
     xd, bd = x.data, b.data
     if bd.ndim != 1:
         raise ShapeMismatch("bias_add", f"bias must be 1-D, got {bd.shape}")
-    if xd.ndim == 2 and xd.shape[1] == bd.shape[0]:
-        def backward(g):
-            return g, g.sum(axis=0)
-    elif xd.ndim == 1 and xd.shape == bd.shape:
-        def backward(g):
-            return g, g
-    else:
+    if xd.ndim != 2 or xd.shape[1] != bd.shape[0]:
         raise ShapeMismatch("bias_add", f"cannot broadcast {bd.shape} onto {xd.shape}")
-    return tape._record("bias_add", (x.node, b.node), xd + bd, backward)
+    return tape._record("bias_add", (x.node, b.node), xd + bd, lambda g: (g, g.sum(axis=0)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -262,28 +252,24 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def nll(log_probs: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer targets.
-
-    Accepts (m,k) log-probs with (m,) targets or a single (k,) row with a
-    scalar target. Targets outside [0, k) raise.
+    """Mean negative log-likelihood of (m,) integer targets under (m,k)
+    log-probs. Targets outside [0, k) raise.
     """
     lp = log_probs.data
-    t = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    rows = lp.reshape(1, -1) if lp.ndim == 1 else lp
-    if lp.ndim not in (1, 2):
+    t = np.asarray(targets, dtype=np.int64)
+    if lp.ndim != 2:
         raise ShapeMismatch("nll", f"log-probs rank {lp.ndim}")
-    if len(t) != rows.shape[0]:
-        raise ShapeMismatch("nll", f"{rows.shape[0]} rows vs {len(t)} targets")
-    k = rows.shape[1]
+    m, k = lp.shape
+    if t.shape != (m,):
+        raise ShapeMismatch("nll", f"{(m,)} rows vs {t.shape} targets")
     if t.min() < 0 or t.max() >= k:
         raise ValueError(f"nll: target out of range [0, {k}): {t}")
-    m = rows.shape[0]
-    value = -rows[np.arange(m), t].sum() / m
+    value = -lp[np.arange(m), t].sum() / m
 
     def backward(g):
-        gl = np.zeros_like(rows)
+        gl = np.zeros_like(lp)
         gl[np.arange(m), t] = -float(g) / m
-        return (gl.reshape(lp.shape),)
+        return (gl,)
 
     return log_probs.tape._record("nll", (log_probs.node,),
                                   np.float64(value), backward)
@@ -326,12 +312,12 @@ def embedding(table: Tensor, ids) -> Tensor:
 
 
 def mean_rows(x: Tensor) -> Tensor:
-    """Column-wise mean of a (m,n) matrix -> (n,)."""
+    """Column-wise mean of a (m,n) matrix -> (1,n)."""
     xd = x.data
     if xd.ndim != 2:
         raise ShapeMismatch("mean_rows", f"need 2-D, got {xd.shape}")
     m = xd.shape[0]
-    return x.tape._record("mean_rows", (x.node,), xd.mean(axis=0),
+    return x.tape._record("mean_rows", (x.node,), xd.mean(axis=0, keepdims=True),
                           lambda g: (np.tile(g / m, (m, 1)),))
 
 

@@ -123,9 +123,9 @@ def _train_config(args) -> tr.TrainConfig:
                                                    **_load_json_arg(args.config)})
 
 
-def _model_for_data(args, dataset: dio.Dataset) -> mz.Model:
-    """Build a model from a partial ``--model-config``, filling data-derived
-    fields and ``--seed``."""
+def _model_for_data(args, dataset: dio.Dataset) -> mz.ModelSpec:
+    """The model spec of a partial ``--model-config``, with data-derived
+    fields and ``--seed`` filled in."""
     cfg = {"input_dim": dataset.dim, "seed": args.seed, **_load_json_arg(args.model_config)}
     if dataset.task == "regression":
         cfg.setdefault("kind", "linear_regressor")
@@ -133,13 +133,13 @@ def _model_for_data(args, dataset: dio.Dataset) -> mz.Model:
     else:
         cfg.setdefault("kind", "mlp" if cfg.get("hidden") else "logreg")
         cfg.setdefault("num_classes", dataset.num_classes)
-    return mz.build(_from_json(mz.ModelSpec, "--model-config", cfg))
+    return _from_json(mz.ModelSpec, "--model-config", cfg)
 
 
 def _resolve_model(args, dataset: dio.Dataset) -> mz.Model:
     if args.model:
         return mz.load_checkpoint(args.model)
-    return _model_for_data(args, dataset)
+    return mz.build(_model_for_data(args, dataset))
 
 
 def _split(dataset: dio.Dataset, args) -> tuple[dio.Dataset, dio.Dataset]:
@@ -236,19 +236,23 @@ def _cmd_ird(args, started: float) -> int:
 
 
 _MODES = {"fish": "fish_random", "ird": "ird", "ird-inverse": "ird_inverse"}
+_GRID_LISTS = {"sparsity_levels": float, "sample_levels": int, "seeds": int}
 
 
 def _cmd_grid(args, started: float) -> int:
     dataset = dio.load(args.data)
     train_ds, valid_ds = _split(dataset, args)
-    spec = ird_mod.GridSpec(_numbers(args.sparsity_levels, "--sparsity-levels"),
-                            _numbers(args.sample_levels, "--sample-levels", int),
-                            _MODES[args.mode], _numbers(args.seeds, "--seeds", int))
-    probe = _model_for_data(args, dataset)
+    # A grid flag left out keeps GridSpec's default.
+    fields = {name: _numbers(getattr(args, name), "--" + name.replace("_", "-"), kind)
+              for name, kind in _GRID_LISTS.items() if getattr(args, name) is not None}
+    if args.mode:
+        fields["mode"] = _MODES[args.mode]
+    spec = ird_mod.GridSpec(**fields)
+    model_spec = _model_for_data(args, dataset)
     cfg = ird_mod.IRDConfig(train=_train_config(args))
-    result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), probe.spec, cfg,
+    result = ird_mod.run_grid(spec, ird_mod.Task(train_ds, valid_ds), model_spec, cfg,
                               max_workers=integer("--threads", args.threads, 1))
-    config = {"grid": spec.to_json(), "model_spec": probe.spec.to_dict(),
+    config = {"grid": spec.to_json(), "model_spec": model_spec.to_dict(),
               "valid_fraction": args.valid_fraction, "train": asdict(cfg.train)}
     manifest = _manifest("grid", config, {"data": args.data}, args.seed)
     _write_result(args.out, manifest, result.to_json(), started)
@@ -330,10 +334,9 @@ def build_parser() -> _Parser:
     p.add_argument("--inverse", action="store_true")
 
     p = command("grid", _cmd_grid, "staircase sweep over (sparsity, samples)", reads, trains)
-    p.add_argument("--mode", default="fish", choices=_MODES)
-    p.add_argument("--sparsity-levels", default="0.025,0.005,0.001,0.0002")
-    p.add_argument("--sample-levels", default="128,32,16,1")
-    p.add_argument("--seeds", default="0")
+    p.add_argument("--mode", choices=_MODES)
+    for name in _GRID_LISTS:  # comma-separated lists
+        p.add_argument("--" + name.replace("_", "-"))
     p.add_argument("--threads", type=_int, default=1,
                    help="worker processes for the fine-tunes (at most one per core)")
 

@@ -201,9 +201,9 @@ def _infer_labels(raw: list[tuple[int, str]], path: str):
     """Classify-vs-regress from label strings; errors carry the line number.
 
     All labels non-negative integers -> classification; any decimal, exponent
-    or negative value -> regression; non-numeric -> error. A class label
-    must be below the row count, which bounds the head's size before
-    anything is allocated.
+    or negative value -> regression; non-numeric or non-finite (NaN, or
+    beyond float64's range) -> error. A class label must be below the row
+    count, which bounds the head's size before anything is allocated.
     """
     floats, all_int = [], True
     for lineno, s in raw:
@@ -212,6 +212,8 @@ def _infer_labels(raw: list[tuple[int, str]], path: str):
             v = float(s)
         except ValueError:
             raise ValueError(f"line {lineno}: unknown label {s!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"{path}: line {lineno}: label {s} is not a finite float64")
         floats.append(v)
         if all_int and not (v >= 0 and v.is_integer()
                             and "." not in s and "e" not in s.lower()):

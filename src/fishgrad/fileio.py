@@ -1,5 +1,6 @@
 """Whole-file writes: a failed write leaves the previous file as it was.
-Result reads: a file that lacks a key its reader uses fails naming both."""
+Result reads and checkpoint headers: a file that lacks a key its reader
+uses fails naming both."""
 
 import json
 import os
@@ -32,13 +33,15 @@ def read_result(path, keys: dict) -> dict:
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
     if isinstance(d, dict) and "result" in d:
-        _check(path, "result", d["result"], keys)
+        check_keys(path, "result", d["result"], keys)
         return d["result"]
-    _check(path, "", d, keys)
+    check_keys(path, "", d, keys)
     return d
 
 
-def _check(path, name: str, value, kind) -> None:
+def check_keys(path, name: str, value, kind) -> None:
+    """Check ``value``, read from ``path`` at key ``name``, against ``kind``
+    as ``read_result`` describes it."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ValueError(f"{path}: {name or 'the top level'} must be an object")
@@ -46,10 +49,10 @@ def _check(path, name: str, value, kind) -> None:
             where = f"{name}.{key}" if name else key
             if key not in value:
                 raise ValueError(f"{path}: {where} is missing")
-            _check(path, where, value[key], inner)
+            check_keys(path, where, value[key], inner)
     elif isinstance(kind, list):
-        _check(path, name, value, "a list")
+        check_keys(path, name, value, "a list")
         for i, item in enumerate(value):
-            _check(path, f"{name}[{i}]", item, kind[0])
+            check_keys(path, f"{name}[{i}]", item, kind[0])
     elif kind is not None and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
         raise ValueError(f"{path}: {name} must be {kind}")

@@ -227,7 +227,7 @@ def fisher_to_json(f: FisherDiagonal) -> dict:
 
 
 # The keys each reader below takes from a file, for ``fileio.read_result``.
-FISHER_KEYS = {"values": "a list", "source": "a string", "sample_ids": "a list",
+FISHER_KEYS = {"values": ["a number"], "source": "a string", "sample_ids": ["an integer"],
                "model_hash": None}
 
 
@@ -241,7 +241,7 @@ def mask_to_json(m: Mask) -> dict:
             "num_params": m.num_params, "selected": m.selected.tolist()}
 
 
-MASK_KEYS = {"selected": "a list", "sparsity": "a number", "num_params": "an integer"}
+MASK_KEYS = {"selected": ["an integer"], "sparsity": "a number", "num_params": "an integer"}
 
 
 def mask_from_json(d: dict) -> Mask:

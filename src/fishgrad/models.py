@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._check import integer
-from .fileio import write_atomic
+from .fileio import check_keys, write_atomic
 
 
 class Segment:
@@ -458,7 +458,7 @@ class TapePass(DensePass):
             for job, rows in zip(self._jobs, self._X):
                 tape = ad.Tape()
                 bound = tape.bind(job.params)
-                logits.append([job._logits_single(tape, bound, ids).data for ids in rows])
+                logits.append([job._logits_single(tape, bound, ids).data[0] for ids in rows])
             self._output = np.array(logits if self._stacked else logits[0])
         return self._output
 
@@ -574,7 +574,7 @@ class TinyAttention(Model):
         bound = tape.bind(self.params)
         total = None
         for i in range(len(X)):
-            term = ad.nll(ad.log_softmax(self._logits_single(tape, bound, X[i])), int(y[i]))
+            term = ad.nll(ad.log_softmax(self._logits_single(tape, bound, X[i])), y[i:i + 1])
             total = term if total is None else ad.add(total, term)
         return ad.scale(total, 1.0 / len(X))
 
@@ -610,6 +610,8 @@ def zoo_specs(seed: int = 0) -> list[ModelSpec]:
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "fishgrad-checkpoint-v1"
+# The header keys ``load_checkpoint`` reads past ``format``, for ``fileio.check_keys``.
+CHECKPOINT_KEYS = {"spec": {"kind": None, "input_dim": None}, "hash": "a string"}
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -635,6 +637,10 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file: {path}")
+    check_keys(path, "", header, CHECKPOINT_KEYS)
+    unknown = sorted(set(header["spec"]) - set(ModelSpec.__dataclass_fields__))
+    if unknown:
+        raise ValueError(f"{path}: unknown spec keys: {unknown}")
     if hashlib.sha256(payload).hexdigest() != header["hash"]:
         raise ValueError(f"checkpoint payload hash mismatch: {path}")
     model = build(ModelSpec.from_dict(header["spec"]))

@@ -28,7 +28,6 @@ import signal
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import takewhile
 
 import numpy as np
 
@@ -119,27 +118,21 @@ def _score_from_json(value) -> float:
 
 
 def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, str]]:
-    """Fine-tune the model of each planned job, (model, mask, train seed,
-    target), on the full training split, in one ``training.train_group``
-    call: each job's score and status, ``ok``, or NaN with ``diverged`` (a
+    """Fine-tune the model of each planned job, (model, mask, train seed), on
+    the full training split, in one ``training.train_group`` call: each
+    job's (score, status) in plan order, ``ok``, or NaN with ``diverged`` (a
     non-finite score too) or ``undefined`` (no metric on its predictions).
     The planned models are passed themselves, not cloned: ``train_group``
     only reads a model that several jobs share, as every ``ird`` plan's
     model is, and writes only a model that one job holds, a one-cell seed's
     model that ``run_grid`` built for it."""
     outcomes = tr.train_group(
-        [model for model, *_ in plan], [mask for _, mask, _, _ in plan],
-        train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed, _ in plan])
+        [model for model, _, _ in plan], [mask for _, mask, _ in plan],
+        train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed in plan])
     return [(o.val_metrics[-1], "ok")
             if isinstance(o, tr.TrainReport) and math.isfinite(o.val_metrics[-1])
             else (math.nan, "undefined" if isinstance(o, UndefinedMetric) else "diverged")
             for o in outcomes]
-
-
-def _settle(plan, results) -> None:
-    """Give each planned job's target its (score, status) from ``results``."""
-    for (*_, target), (score, status) in zip(plan, results):
-        target.score, target.status = score, status
 
 
 def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
@@ -152,12 +145,13 @@ def ird(model, train_ds, valid_ds, x0, initial_sparsity: float | None = None,
     always shrink within the previous mask, so the recorded masks are
     strictly nested, as are the sample subsets. No score feeds back into the
     search, so the trajectory is planned first and a bad input raises before
-    any fine-tune runs (``_fine_tune``).
+    any fine-tune runs (``_fine_tune``); record i takes job i's score.
     """
     cfg = cfg or IRDConfig()
     trace, plan = _trajectory(model, train_ds, x0, initial_sparsity, initial_k, cfg.seed,
                               inverse)
-    _settle(plan, _fine_tune(plan, train_ds, valid_ds, cfg))
+    for record, (score, status) in zip(trace.records, _fine_tune(plan, train_ds, valid_ds, cfg)):
+        record.score, record.status = score, status
     return trace
 
 
@@ -175,12 +169,13 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
     """The search's subsets and masks as a trace with unscored records, and
     each record's fine-tune job, its training seed derived from ``seed``.
 
-    ``steps`` are the (samples, mask size) pairs to keep, each smaller than
-    the last on both sets (the grid's staircase levels), or by default the
-    halvings of both sets, which end at one element; the search stops with
-    the shorter list. The schedule never depends on a score, so it is known
-    before the search starts. Both halving steps are one operation: score
-    the current set, then keep the scheduled number with ``top_k_within``.
+    ``steps`` are the (samples, mask size) pairs to keep (the grid's
+    staircase levels), or by default the halvings of both sets, which end at
+    one element; the search stops at the first step that does not shrink
+    both sets (a degenerate grid level). The schedule never depends on a
+    score, so it is known before the search starts. Both halving steps are
+    one operation: score the current set, then keep the scheduled number
+    with ``top_k_within``.
     """
     x0 = np.asarray(x0, dtype=np.int64)
     if len(x0) < 2:
@@ -194,6 +189,8 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
     subset = SampleSubset(x0)
     trace = IRDTrace([], mask, subset)
     for iteration, (keep_n, keep_k) in enumerate(steps):
+        if keep_n >= len(subset) or keep_k >= mask.size:
+            break  # a degenerate grid level: the later cells stay unexplored
         # Scores indexed by row id, so ties go to the lower id whatever x0's order.
         by_id = np.zeros(len(train_ds))
         by_id[subset.ids] = sample_scores(model, train_ds, subset)
@@ -207,7 +204,7 @@ def _trajectory(model, train_ds, x0, initial_sparsity, initial_k, seed: int,
         mask = Mask(new_sel, keep_k / model.num_params, model.num_params,
                     mask.model_hash)
         trace.records.append(TraceRecord(iteration, PHASE_PARAMS, math.nan, mask, subset))
-    return trace, [(model, r.mask, _derive_seed(seed, r.iteration, r.phase == PHASE_PARAMS), r)
+    return trace, [(model, r.mask, _derive_seed(seed, r.iteration, r.phase == PHASE_PARAMS))
                    for r in trace.records]
 
 
@@ -360,9 +357,9 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
     fish_random fills each cell independently: scores from ``n`` freshly
     drawn random samples, a top-k mask at the cell's sparsity, one masked
     fine-tune. ird / ird_inverse evaluate the initial cell identically (same
-    sample draw, same training seed) and then map the trace records onto the
-    remaining cells, so the two modes are comparable cell for cell. A
-    cell's score is its fine-tune's last validation reading on
+    sample draw, same training seed), then the trace records, so the two
+    modes are comparable cell for cell. A seed's i-th job scores
+    ``staircase_cells``' i-th cell, and its trace record i - 1, on
     ``cfg.train.metric``. Cell RNG derives from (master seed, cell
     coordinates), making results independent of execution order. Every
     seed's cells and trace are planned, and all scoring done, here before any
@@ -377,25 +374,25 @@ def run_grid(spec: GridSpec, task: Task, model_spec: mz.ModelSpec,
     plans = []
     for seed in spec.seeds:
         model = mz.build(replace(model_spec, seed=_derive_seed(model_spec.seed, seed)))
-        plans.append((seed, *_plan_seed(spec, task, model, seed)))
+        plans.append(_plan_seed(spec, task, model, seed))
     # A slice of whole seeds per worker and usable core, all but the first
     # forked, on Linux before Python 3.12 (it warns on a fork with BLAS threads).
     forks = hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12)
     workers = max(1, min(max_workers, _usable_cores(), len(plans))) if forks else 1
     cuts = [i * len(plans) // workers for i in range(workers + 1)]
-    slices = [[job for _, plan, _ in plans[a:b] for job in plan] for a, b in zip(cuts, cuts[1:])]
-    _settle(sum(slices, []), sum(_in_workers(
+    slices = [[job for jobs, _ in plans[a:b] for job in jobs] for a, b in zip(cuts, cuts[1:])]
+    results = iter(sum(_in_workers(
         [partial(_fine_tune, jobs, task.train, task.valid, cfg) for jobs in slices]), []))
     cells, traces = [], []
-    for seed, plan, trace in plans:
-        if trace is None:
-            cells += [cell for *_, cell in plan]
-            continue
-        cells.append(plan[0][-1])
-        cells += [GridCell(spec.sparsity_levels[r.iteration + (r.phase == PHASE_PARAMS)],
-                           spec.sample_levels[r.iteration + 1], seed, r.score, r.status)
-                  for r in trace.records]
-        traces.append({"seed": seed, **trace.to_json()})
+    for seed, (jobs, trace) in zip(spec.seeds, plans):
+        scored = [next(results) for _ in jobs]
+        cells += [GridCell(spec.sparsity_levels[ri], spec.sample_levels[ci], seed, score, status)
+                  for (ri, ci), (score, status)
+                  in zip(staircase_cells(len(spec.sparsity_levels)), scored)]
+        if trace is not None:
+            for record, (score, status) in zip(trace.records, scored[1:]):
+                record.score, record.status = score, status
+            traces.append({"seed": seed, **trace.to_json()})
     return GridResult(spec, cells, traces)
 
 
@@ -459,25 +456,20 @@ def _fork(work) -> tuple[int, int]:
 def _plan_cell(spec, task, model, seed, ri, ci):
     ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
     mask = top_k_mask(empirical_fisher(model, task.train, ids), sparsity=spec.sparsity_levels[ri])
-    return (model, mask, _derive_seed(seed, ri, ci, 1),
-            GridCell(spec.sparsity_levels[ri], spec.sample_levels[ci], seed, math.nan))
+    return model, mask, _derive_seed(seed, ri, ci, 1)
 
 
 def _plan_seed(spec, task, model, seed):
-    """A master seed's jobs, each with the cell or record it scores, and trace."""
+    """A master seed's jobs in ``staircase_cells`` order, and trace (or None)."""
     if spec.mode == "fish_random":
         return [_plan_cell(spec, task, model, seed, ri, ci)
                 for ri, ci in staircase_cells(len(spec.sparsity_levels))], None
     x0 = _draw_ids(len(task.train), spec.sample_levels[0], _derive_seed(seed, 0, 0, 0))
     mask_sizes = [mask_size(s, model.num_params) for s in spec.sparsity_levels]
-    # Degenerate levels (a sparsity that leaves the mask size unchanged) stop
-    # the trace early rather than erroring; the remaining cells stay unexplored.
-    levels = list(zip(spec.sample_levels, mask_sizes))
-    steps = [nxt for _, nxt in takewhile(lambda s: all(new < old for old, new in zip(*s)),
-                                         zip(levels, levels[1:]))]
     initial = _plan_cell(spec, task, model, seed, 0, 0)
     trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], _derive_seed(seed, 99),
-                              spec.mode == "ird_inverse", steps)
+                              spec.mode == "ird_inverse",
+                              zip(spec.sample_levels[1:], mask_sizes[1:]))
     return [initial, *plan], trace
 
 

@@ -44,10 +44,10 @@ class TestClosedForms:
 
     def test_log_softmax_nll_uniform_gradient(self):
         """Softmax-minus-onehot at uniform logits, true class 0: [-1/2, 1/2]."""
-        params = mz.ParamVector([("logits", (2,))])
+        params = mz.ParamVector([("logits", (1, 2))])
         tape = ad.Tape()
         bound = tape.bind(params)
-        ad.nll(ad.log_softmax(bound["logits"]), 0)
+        ad.nll(ad.log_softmax(bound["logits"]), [0])
         np.testing.assert_allclose(tape.gradient(), [-0.5, 0.5], atol=1e-15)
 
     def test_mlp_forward_pinned_by_straight_line_recompute(self):
@@ -229,6 +229,15 @@ class TestTapeContract:
         b = tape.constant(np.ones((2, 3)))
         with pytest.raises(ad.ShapeMismatch, match=r"matmul.*\(2, 3\)"):
             ad.matmul(a, b)
+
+    def test_second_bind_raises(self):
+        """A tape holds one parameter vector: binding another would overwrite
+        the first one's slots in the flat gradient."""
+        params = mz.ParamVector([("w", (2,))])
+        tape = ad.Tape()
+        tape.bind(params)
+        with pytest.raises(ValueError, match="one parameter vector"):
+            tape.bind(params)
 
     def test_seed_shape_checked(self):
         tape = quadratic_tape(1.0)

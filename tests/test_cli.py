@@ -12,6 +12,12 @@ from fishgrad import models as mz
 from fishgrad import training as tr
 
 
+# A mask file around its selected indices, and a checkpoint's header line
+# around its keys after ``format``, for the malformed-file table below.
+MASK = '{"selected": %s, "sparsity": 0.5, "num_params": 4}'
+CKPT = '{"format": "%s", %%s}\n' % mz.CHECKPOINT_FORMAT
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -344,12 +350,33 @@ class TestExitCodes:
         ("report", '{"result": {"spec": 5, "cells": []}}', "result.spec must be an object"),
         ("report", '{"spec": {"sparsity_levels": [0.5], "sample_levels": [4], "mode": "ird",'
                    ' "seeds": [0]}, "cells": [1]}', "cells[0] must be an object"),
+        ("train", MASK % "[1.5]", "selected[0] must be an integer"),
+        ("train", MASK % "[true, 3]", "selected[0] must be an integer"),
+        ("train", MASK % "[1, 2.9]", "selected[1] must be an integer"),
+        ("train", MASK % "[[1]]", "selected[0] must be an integer"),
+        ("mask", '{"values": [1, "2"], "source": "empirical", "sample_ids": [0],'
+                 ' "model_hash": null}', "values[1] must be a number"),
+        ("mask", '{"values": [1], "source": "empirical", "sample_ids": [0.5],'
+                 ' "model_hash": null}', "sample_ids[0] must be an integer"),
+        ("checkpoint", CKPT % '"spec": [], "hash": "0"', "spec must be an object"),
+        ("checkpoint", CKPT % '"spec": "logreg", "hash": "0"', "spec must be an object"),
+        ("checkpoint", CKPT % '"spec": {"kind": "logreg", "input_dim": 4, "depth": 2}, '
+                              '"hash": "0"', "unknown spec keys: ['depth']"),
+        ("checkpoint", CKPT % '"spec": {"kind": "logreg"}, "hash": "0"',
+         "spec.input_dim is missing"),
+        ("checkpoint", CKPT % '"spec": {"kind": "logreg", "input_dim": 4}', "hash is missing"),
     ], ids=["mask-a-list", "mask-result-a-list", "mask-selected-a-string",
             "mask-num-params-a-bool", "fisher-result-a-number", "fisher-without-values",
-            "grid-a-list", "grid-without-spec", "grid-spec-a-number", "grid-cell-a-number"])
+            "grid-a-list", "grid-without-spec", "grid-spec-a-number", "grid-cell-a-number",
+            "mask-selected-a-fraction", "mask-selected-a-bool", "mask-selected-a-later-fraction",
+            "mask-selected-a-list", "fisher-value-a-string", "fisher-sample-id-a-fraction",
+            "checkpoint-spec-a-list", "checkpoint-spec-a-string",
+            "checkpoint-spec-with-unknown-key", "checkpoint-spec-without-input-dim",
+            "checkpoint-without-hash"])
     def test_malformed_result_file_is_two(self, workspace, capsys, command, text, named):
         """A mask, fisher or grid file read by ``train --mask``, ``mask
-        --fisher`` or ``report`` fails naming its path and the key."""
+        --fisher`` or ``report``, or a checkpoint header read by ``train
+        --model``, fails naming its path and the key."""
         w = workspace
         cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
                   "--out", str(w / "d.jsonl")])
@@ -357,7 +384,8 @@ class TestExitCodes:
         bad.write_text(text)
         argv = {"train": ["train", "--data", str(w / "d.jsonl"), "--mask", str(bad)],
                 "mask": ["mask", "--fisher", str(bad), "--sparsity", "0.5"],
-                "report": ["report", "--baseline", str(bad), "--candidate", str(bad)]}[command]
+                "report": ["report", "--baseline", str(bad), "--candidate", str(bad)],
+                "checkpoint": ["train", "--data", str(w / "d.jsonl"), "--model", str(bad)]}[command]
         code, _, err = run(capsys, *argv, "--out", str(w / "out"))
         assert code == 2
         assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {named}"}

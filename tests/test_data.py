@@ -196,6 +196,14 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
     ("label-beyond-rows-after-manifest", ['{"manifest": {}}', GOOD, "",
                                           '{"features": [1.0, 2.0], "label": 2}'],
      "{path}: line 4: label 2 must be below the row count, 2"),
+    ("label-1e400", [GOOD, '{"features": [1.0, 2.0], "label": 1e400}'],
+     "{path}: line 2: label inf is not a finite float64"),
+    ("label-minus-1e400", [GOOD, GOOD, '{"features": [1.0, 2.0], "label": -1e400}'],
+     "{path}: line 3: label -inf is not a finite float64"),
+    ("label-NaN", [GOOD, '{"features": [1.0, 2.0], "label": NaN}'],
+     "{path}: line 2: label nan is not a finite float64"),
+    ("label-401-digits", [GOOD, '{"features": [1.0, 2.0], "label": 1%s}' % ("0" * 400)],
+     "{path}: line 2: label 1%s is not a finite float64" % ("0" * 400)),
 ]
 
 

@@ -247,16 +247,42 @@ class TestRunGrid:
         matrix = result.cell_matrix()
         assert math.isnan(matrix[2, 2])
 
-    def test_ird_mode_cells_follow_trace(self, blob_splits):
+    def test_ird_mode_cells_follow_trace(self, blob_splits, monkeypatch):
+        """In every mode, each seed's cells come in ``staircase_cells`` order,
+        or a prefix of it once degenerate levels stop the trace, and in the
+        ird modes each trace record has the score and status of the cell
+        after the initial one at its position."""
+        traces, trajectory = [], sr._trajectory
+
+        def traced(*args):
+            trace, plan = trajectory(*args)
+            traces.append(trace)
+            return trace, plan
+
+        monkeypatch.setattr(sr, "_trajectory", traced)
         train, valid = blob_splits
-        spec = sr.GridSpec((0.4, 0.2, 0.1), (16, 8, 4), "ird", (0,))
-        result = sr.run_grid(spec, sr.Task(train, valid),
-                             mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0),
-                             quick_cfg())
-        assert len(result.cells) == 5  # initial + 2 records per iteration
-        assert len(result.traces) == 1
-        coords = {(c.sparsity, c.n_samples) for c in result.cells}
-        assert (0.4, 16) in coords and (0.1, 4) in coords
+        model_spec = mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=0)
+        # |theta| = 21: 0.02 and 0.01 both round to k=1, so an ird trace stops
+        # after one iteration.
+        for mode in sr.MODES:
+            for sparsity, ird_cells in (((0.4, 0.2, 0.1), 5), ((0.4, 0.02, 0.01), 3)):
+                traces.clear()
+                spec = sr.GridSpec(sparsity, (16, 8, 4), mode, (0, 3))
+                result = sr.run_grid(spec, sr.Task(train, valid), model_spec, quick_cfg())
+                staircase = [(spec.sparsity_levels[ri], spec.sample_levels[ci])
+                             for ri, ci in sr.staircase_cells(3)]
+                per_seed = [[c for c in result.cells if c.seed == seed] for seed in spec.seeds]
+                for cells in per_seed:
+                    assert [(c.sparsity, c.n_samples) for c in cells] == staircase[:len(cells)]
+                if mode == "fish_random":
+                    assert [len(cells) for cells in per_seed] == [5, 5]
+                    assert result.traces == []
+                    continue
+                assert [len(cells) for cells in per_seed] == [ird_cells, ird_cells]
+                assert [t["seed"] for t in result.traces] == [0, 3]
+                for cells, trace in zip(per_seed, traces):
+                    assert ([(r.score, r.status) for r in trace.records]
+                            == [(c.score, c.status) for c in cells[1:]])
 
     def test_initial_cell_identical_across_modes(self, blob_splits):
         train, valid = blob_splits
