@@ -198,12 +198,12 @@ def join_pair(text1: str, text2: str) -> str:
 
 
 def _infer_labels(raw: list[tuple[int, str]], path: str):
-    """Classify-vs-regress from label strings; errors carry the line number.
+    """Classify-vs-regress from label strings; errors name the path and line.
 
     All labels non-negative integers -> classification; any decimal, exponent
     or negative value -> regression; non-numeric or non-finite (NaN, or
     beyond float64's range) -> error. A class label must be below the row
-    count, which bounds the head's size before anything is allocated.
+    count, which bounds the head's size before any array is made.
     """
     floats, all_int = [], True
     for lineno, s in raw:
@@ -211,7 +211,7 @@ def _infer_labels(raw: list[tuple[int, str]], path: str):
         try:
             v = float(s)
         except ValueError:
-            raise ValueError(f"line {lineno}: unknown label {s!r}") from None
+            raise ValueError(f"{path}: line {lineno}: unknown label {s!r}") from None
         if not math.isfinite(v):
             raise ValueError(f"{path}: line {lineno}: label {s} is not a finite float64")
         floats.append(v)
@@ -235,7 +235,8 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
     """Read a JSONL (``.jsonl`` or ``.json``) or else TSV dataset; text pairs
     are joined and hash-featurized.
 
-    Row order follows the file. Malformed rows raise with their line number.
+    Row order follows the file. Every error starts with the path, and a
+    malformed row's error also names its line.
     """
     path = str(path)
     rows_text, rows_feat, feat_lines, labels_raw = [], [], [], []
@@ -247,21 +248,22 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
         header = lines[0].split("\t")
         is_text = header[:1] == ["text1"]
         if is_text and header != ["text1", "text2", "label"]:
-            raise ValueError(f"line 1: bad text header {header}")
+            raise ValueError(f"{path}: line 1: bad text header {header}")
         if not is_text and (header[-1] != "label"
                             or header[:-1] != [f"f{i}" for i in range(len(header) - 1)]):
-            raise ValueError(f"line 1: bad header {header}")
+            raise ValueError(f"{path}: line 1: bad header {header}")
         for lineno, line in enumerate(lines[1:], start=2):
             cols = line.split("\t")
             if len(cols) != len(header):
-                raise ValueError(f"line {lineno}: expected {len(header)} columns, got {len(cols)}")
+                raise ValueError(f"{path}: line {lineno}: expected {len(header)} columns, "
+                                 f"got {len(cols)}")
             if is_text:
                 rows_text.append((cols[0], cols[1]))
             else:
                 try:
                     rows_feat.append([float(c) for c in cols[:-1]])
                 except ValueError:
-                    raise ValueError(f"line {lineno}: non-numeric feature") from None
+                    raise ValueError(f"{path}: line {lineno}: non-numeric feature") from None
                 feat_lines.append(lineno)
             labels_raw.append((lineno, cols[-1]))
     else:
@@ -272,7 +274,7 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
                 try:
                     row = json.loads(line)
                 except json.JSONDecodeError:
-                    raise ValueError(f"line {lineno}: invalid JSON") from None
+                    raise ValueError(f"{path}: line {lineno}: invalid JSON") from None
                 if not isinstance(row, dict):
                     raise ValueError(f"{path}: line {lineno}: a row must be a JSON object")
                 if set(row) == {"manifest"}:
@@ -283,9 +285,9 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
                 elif "text1" in row:
                     rows_text.append((str(row["text1"]), str(row.get("text2", ""))))
                 else:
-                    raise ValueError(f"line {lineno}: need 'features' or 'text1'")
+                    raise ValueError(f"{path}: line {lineno}: need 'features' or 'text1'")
                 if "label" not in row:
-                    raise ValueError(f"line {lineno}: missing label")
+                    raise ValueError(f"{path}: line {lineno}: missing label")
                 labels_raw.append((lineno, str(row["label"])))
         except ValueError:
             _feature_array(path, rows_feat, feat_lines)  # an earlier bad row comes first

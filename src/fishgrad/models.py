@@ -44,9 +44,9 @@ class Segment:
 class ParamVector:
     """Flat float64 parameter storage with a (name, offset, shape) table.
 
-    Segments partition [0, len) with no gaps or overlaps; the flat-index to
-    (segment, position) mapping is a stable bijection for the life of the
-    model.
+    Segments partition [0, len) with no gaps or overlaps; flat index
+    ``seg.offset + pos`` is position ``pos`` of segment ``seg`` for the life
+    of the model.
     """
 
     def __init__(self, layout: list[tuple[str, tuple[int, ...]]]):
@@ -73,21 +73,6 @@ class ParamVector:
 
     def segment(self, name: str) -> Segment:
         return self._by_name[name]
-
-    def locate(self, flat_index: int) -> tuple[str, int]:
-        """Map a flat index to (segment name, position within segment)."""
-        if not 0 <= flat_index < len(self.data):
-            raise IndexError(f"flat index {flat_index} out of range")
-        for seg in self.segments:
-            if flat_index < seg.offset + seg.length:
-                return seg.name, flat_index - seg.offset
-        raise AssertionError("segment table does not cover the vector")
-
-    def flat_index(self, name: str, position: int) -> int:
-        seg = self._by_name[name]
-        if not 0 <= position < seg.length:
-            raise IndexError(f"position {position} outside segment {name!r}")
-        return seg.offset + position
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.data.astype("<f8").tobytes()).hexdigest()
@@ -590,17 +575,6 @@ def build(spec: ModelSpec) -> Model:
     params = ParamVector(layout)
     _init(params, fan, spec.seed)
     return cls(spec, params)
-
-
-def zoo_specs(seed: int = 0) -> list[ModelSpec]:
-    """One desk-scale spec per model kind, used by gradient-check sweeps."""
-    return [
-        ModelSpec("logreg", input_dim=6, num_classes=3, seed=seed),
-        ModelSpec("mlp", input_dim=5, hidden=(8,), num_classes=3, seed=seed),
-        ModelSpec("tiny_attention", input_dim=24, hidden=(8,), num_classes=2,
-                  seed=seed, embed_dim=6, max_len=6),
-        ModelSpec("linear_regressor", input_dim=7, num_classes=0, seed=seed),
-    ]
 
 
 # ---------------------------------------------------------------------------

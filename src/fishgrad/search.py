@@ -321,19 +321,6 @@ class GridResult:
                  for c in d["cells"]]
         return GridResult(spec, cells, d.get("traces", []))
 
-    @staticmethod
-    def from_matrix(sparsity_levels, sample_levels, matrix,
-                    mode: str = "fish_random") -> "GridResult":
-        """Wrap a transcribed score matrix (NaN/None = unexplored cell)."""
-        spec = GridSpec(tuple(sparsity_levels), tuple(sample_levels), mode, (0,))
-        cells = []
-        for i, s in enumerate(spec.sparsity_levels):
-            for j, n in enumerate(spec.sample_levels):
-                v = matrix[i][j]
-                if v is not None and math.isfinite(v):
-                    cells.append(GridCell(s, n, 0, float(v)))
-        return GridResult(spec, cells)
-
 
 @dataclass
 class Task:
@@ -453,8 +440,10 @@ def _fork(work) -> tuple[int, int]:
         os._exit(0)
 
 
-def _plan_cell(spec, task, model, seed, ri, ci):
-    ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
+def _plan_cell(spec, task, model, seed, ri, ci, ids=None):
+    """A cell's job: a top-k mask over ``ids``, by default the cell's own draw."""
+    if ids is None:
+        ids = _draw_ids(len(task.train), spec.sample_levels[ci], _derive_seed(seed, ri, ci, 0))
     mask = top_k_mask(empirical_fisher(model, task.train, ids), sparsity=spec.sparsity_levels[ri])
     return model, mask, _derive_seed(seed, ri, ci, 1)
 
@@ -466,7 +455,7 @@ def _plan_seed(spec, task, model, seed):
                 for ri, ci in staircase_cells(len(spec.sparsity_levels))], None
     x0 = _draw_ids(len(task.train), spec.sample_levels[0], _derive_seed(seed, 0, 0, 0))
     mask_sizes = [mask_size(s, model.num_params) for s in spec.sparsity_levels]
-    initial = _plan_cell(spec, task, model, seed, 0, 0)
+    initial = _plan_cell(spec, task, model, seed, 0, 0, x0)
     trace, plan = _trajectory(model, task.train, x0, None, mask_sizes[0], _derive_seed(seed, 99),
                               spec.mode == "ird_inverse",
                               zip(spec.sample_levels[1:], mask_sizes[1:]))
@@ -523,12 +512,26 @@ def save_grid(result: GridResult, path, manifest: dict | None = None) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
-GRID_KEYS = {"spec": {"sparsity_levels": "a list", "sample_levels": "a list",
-                      "mode": "a string", "seeds": "a list"},
+GRID_KEYS = {"spec": {"sparsity_levels": ["a number"], "sample_levels": ["an integer"],
+                      "mode": "a string", "seeds": ["an integer"]},
              "cells": [{"sparsity": "a number", "n_samples": "an integer",
-                        "seed": "an integer", "score": None}]}
+                        "seed": "an integer", "score": "a number or null",
+                        "status?": ("ok", "diverged", "undefined")}]}
 
 
 def load_grid(path) -> GridResult:
-    """A grid result file, its keys checked (``fileio.read_result``)."""
-    return GridResult.from_json(read_result(path, GRID_KEYS))
+    """A grid result file, its keys checked (``fileio.read_result``), its
+    spec by ``GridSpec`` and each cell against the spec's levels: every
+    rejection starts with the path."""
+    d = read_result(path, GRID_KEYS)
+    try:
+        grid = GridResult.from_json(d)
+    except ValueError as exc:  # the spec, from ``GridSpec``
+        raise ValueError(f"{path}: {exc}") from None
+    for i, cell in enumerate(grid.cells):
+        for key, value, levels in (("sparsity", cell.sparsity, grid.spec.sparsity_levels),
+                                   ("n_samples", cell.n_samples, grid.spec.sample_levels)):
+            if value not in levels:
+                raise ValueError(f"{path}: cells[{i}].{key} {value!r} is not one of the "
+                                 f"spec's levels {list(levels)}")
+    return grid

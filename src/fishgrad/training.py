@@ -4,7 +4,7 @@ Each batch gradient is projected onto the mask, so coordinates outside the
 mask are provably untouched (bit-identical before and after any run). Both
 optimizers (``sgd_step``, ``adam_step``) step only the flat indices they are
 given, every index for dense training (no mask), and Adam's state is
-allocated only for those. Every fine-tune runs in one loop
+kept only for those. Every fine-tune runs in one loop
 (``_train_heads``): jobs run the layers below k, the first dense layer their
 masks reach (0 for tiny_attention, which has none), once ahead of training
 and step layers k.. together, through one pass of the model's

@@ -20,6 +20,8 @@ from fishgrad import models as mz
 from fishgrad import search as sr
 from fishgrad import training as tr
 
+from support import grid_from_matrix, zoo_specs
+
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
     print(f"\n[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} {detail}")
@@ -42,7 +44,7 @@ def test_criterion_01_gradient_correctness():
     started = time.time()
     worst = 0.0
     for seed in range(5):
-        for spec in mz.zoo_specs(seed=seed):
+        for spec in zoo_specs(seed=seed):
             model = mz.build(spec)
             X, y = _zoo_batch(spec, np.random.default_rng(seed + 100))
             grad = ad.loss_gradient(model, X, y)[1]
@@ -320,10 +322,10 @@ REFERENCE_ARROWS = [
 def test_criterion_12_report_fidelity():
     """compare_grids on the transcribed reference matrices reproduces the
     printed up/down placements exactly."""
-    baseline = sr.GridResult.from_matrix(REFERENCE_SPARSITY, REFERENCE_SAMPLES,
-                                         REFERENCE_BASELINE)
-    candidate = sr.GridResult.from_matrix(REFERENCE_SPARSITY, REFERENCE_SAMPLES,
-                                          REFERENCE_CANDIDATE)
+    baseline = grid_from_matrix(REFERENCE_SPARSITY, REFERENCE_SAMPLES,
+                                REFERENCE_BASELINE)
+    candidate = grid_from_matrix(REFERENCE_SPARSITY, REFERENCE_SAMPLES,
+                                 REFERENCE_CANDIDATE)
     comparison = sr.compare_grids(baseline, candidate)
     ok = comparison.symbols == REFERENCE_ARROWS
     _report(12, "report fidelity", ok,

@@ -7,6 +7,8 @@ import pytest
 from fishgrad import autodiff as ad
 from fishgrad import models as mz
 
+from support import zoo_specs
+
 
 def quadratic_tape(w0: float):
     """f(w) = w^2 built from the recorded primitives, w bound as a parameter."""
@@ -67,7 +69,7 @@ class TestClosedForms:
 class TestFiniteDifferenceOracle:
     """Autodiff against central differences, h=1e-4, tolerance 1e-5 relative."""
 
-    @pytest.mark.parametrize("spec", mz.zoo_specs(seed=11), ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", zoo_specs(seed=11), ids=lambda s: s.kind)
     def test_zoo_model_gradients(self, spec):
         model = mz.build(spec)
         rng = np.random.default_rng(5)

@@ -16,6 +16,18 @@ from fishgrad import training as tr
 # around its keys after ``format``, for the malformed-file table below.
 MASK = '{"selected": %s, "sparsity": 0.5, "num_params": 4}'
 CKPT = '{"format": "%s", %%s}\n' % mz.CHECKPOINT_FORMAT
+GRID_SPEC = {"sparsity_levels": [0.5, 0.25], "sample_levels": [8, 4], "mode": "ird",
+             "seeds": [0]}
+GRID_CELLS = [{"sparsity": 0.5, "n_samples": 8, "seed": 0, "score": 0.75, "status": "ok"},
+              {"sparsity": 0.5, "n_samples": 4, "seed": 0, "score": None, "status": "diverged"},
+              {"sparsity": 0.25, "n_samples": 4, "seed": 0, "score": 0.5, "status": "ok"}]
+
+
+def grid(spec=None, cell=None):
+    """A valid 2-level grid file's text, with the keys ``spec`` or ``cell``
+    replaced in its spec or its first cell."""
+    cells = [{**GRID_CELLS[0], **(cell or {})}, *GRID_CELLS[1:]]
+    return json.dumps({"result": {"spec": {**GRID_SPEC, **(spec or {})}, "cells": cells}})
 
 
 def run(capsys, *argv):
@@ -365,6 +377,22 @@ class TestExitCodes:
         ("checkpoint", CKPT % '"spec": {"kind": "logreg"}, "hash": "0"',
          "spec.input_dim is missing"),
         ("checkpoint", CKPT % '"spec": {"kind": "logreg", "input_dim": 4}', "hash is missing"),
+        ("report", grid(cell={"status": 5}),
+         "result.cells[0].status must be one of ['ok', 'diverged', 'undefined']"),
+        ("report", grid(cell={"score": "high"}), "result.cells[0].score must be a number or null"),
+        ("report", grid(cell={"sparsity": 0.3}),
+         "cells[0].sparsity 0.3 is not one of the spec's levels [0.5, 0.25]"),
+        ("report", grid(cell={"n_samples": 6}),
+         "cells[0].n_samples 6 is not one of the spec's levels [8, 4]"),
+        ("report", grid(spec={"sparsity_levels": ["x", 0.25]}),
+         "result.spec.sparsity_levels[0] must be a number"),
+        ("report", grid(spec={"sample_levels": [8.5, 4]}),
+         "result.spec.sample_levels[0] must be an integer"),
+        ("report", grid(spec={"seeds": ["a"]}), "result.spec.seeds[0] must be an integer"),
+        ("report", grid(spec={"mode": "fish"}), "unknown mode 'fish'"),
+        ("report", grid(spec={"sparsity_levels": [0.25, 0.5]}),
+         "sparsity levels must be strictly decreasing: (0.25, 0.5)"),
+        ("report", grid(spec={"seeds": [-1]}), "seeds must be at least 0 and an integer, got -1"),
     ], ids=["mask-a-list", "mask-result-a-list", "mask-selected-a-string",
             "mask-num-params-a-bool", "fisher-result-a-number", "fisher-without-values",
             "grid-a-list", "grid-without-spec", "grid-spec-a-number", "grid-cell-a-number",
@@ -372,7 +400,10 @@ class TestExitCodes:
             "mask-selected-a-list", "fisher-value-a-string", "fisher-sample-id-a-fraction",
             "checkpoint-spec-a-list", "checkpoint-spec-a-string",
             "checkpoint-spec-with-unknown-key", "checkpoint-spec-without-input-dim",
-            "checkpoint-without-hash"])
+            "checkpoint-without-hash", "grid-cell-status-a-number", "grid-cell-score-a-string",
+            "grid-cell-off-the-sparsity-levels", "grid-cell-off-the-sample-levels",
+            "grid-sparsity-level-a-string", "grid-sample-level-a-fraction", "grid-seed-a-string",
+            "grid-spec-unknown-mode", "grid-spec-levels-increasing", "grid-spec-negative-seed"])
     def test_malformed_result_file_is_two(self, workspace, capsys, command, text, named):
         """A mask, fisher or grid file read by ``train --mask``, ``mask
         --fisher`` or ``report``, or a checkpoint header read by ``train
@@ -390,6 +421,16 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err) == {"error": "ValueError", "message": f"{bad}: {named}"}
         assert not (w / "out").exists()
+
+    def test_grid_cells_without_status_report(self, workspace, capsys):
+        """A cell's ``status`` may be missing, as in files written before it."""
+        cells = [{k: v for k, v in cell.items() if k != "status"} for cell in GRID_CELLS]
+        path = workspace / "g.json"
+        path.write_text(json.dumps({"result": {"spec": GRID_SPEC, "cells": cells}}))
+        code, _, _ = run(capsys, "report", "--baseline", str(path), "--candidate", str(path),
+                         "--out", str(workspace / "out"))
+        assert code == 0
+        assert (workspace / "out" / "comparison.csv").exists()
 
     @pytest.mark.parametrize("line", ["5", "null", '"features"', "[1, 2]"])
     def test_non_object_jsonl_row_is_two(self, workspace, capsys, line):

@@ -15,6 +15,17 @@ from fishgrad import training as tr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+MALFORMED_TSV = [  # (id, lines, the message, with {path} for the file's path)
+    ("bad-text-header", ["text1\tlabel", "good\t1"],
+     "{path}: line 1: bad text header ['text1', 'label']"),
+    ("bad-header", ["f0\tf2\tlabel", "1.0\t2.0\t0"],
+     "{path}: line 1: bad header ['f0', 'f2', 'label']"),
+    ("ragged-row", ["f0\tf1\tlabel", "1.0\t2.0\t0", "1.0\t1"],
+     "{path}: line 3: expected 3 columns, got 2"),
+    ("non-numeric-feature", ["f0\tlabel", "1.0\t0", "x\t1"],
+     "{path}: line 3: non-numeric feature"),
+]
+
 
 class TestLoadTsv:
     def test_three_row_text_fixture(self, tmp_path):
@@ -52,6 +63,15 @@ class TestLoadTsv:
         path.write_text("f0\tlabel\n1.0\t0\n2.0\twhat\n")
         with pytest.raises(ValueError, match="line 3.*what"):
             dio.load(path)
+
+    @pytest.mark.parametrize("lines,message", [case[1:] for case in MALFORMED_TSV],
+                             ids=[case[0] for case in MALFORMED_TSV])
+    def test_first_bad_line_is_named(self, tmp_path, lines, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError) as exc:
+            dio.load(path)
+        assert str(exc.value) == message.replace("{path}", str(path))
 
     def test_shipped_review_fixture_trains_end_to_end(self):
         """Text pairs hash-featurize into a learnable binary task."""
@@ -179,9 +199,9 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
                                '{"features": [1.0, 2.0], "label": "cat"}'],
      "{path}: line 2: 1 features, the first row has 2"),
     ("invalid-json-then-bad-feature", [GOOD, "{", '{"features": [true], "label": 1}'],
-     "line 2: invalid JSON"),
+     "{path}: line 2: invalid JSON"),
     ("good-features-then-missing-label", [GOOD, '{"features": [1.0, 2.0]}'],
-     "line 2: missing label"),
+     "{path}: line 2: missing label"),
     ("int-beyond-float64", [GOOD, GOOD, '{"features": [1.0, 1%s], "label": 1}' % ("0" * 400)],
      "{path}: line 3: a feature is too large for a float64"),
     ("int-beyond-float64-then-missing-label", ['{"features": [-1%s, 2.0], "label": 1}' % ("0" * 400),
@@ -204,6 +224,10 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
      "{path}: line 2: label nan is not a finite float64"),
     ("label-401-digits", [GOOD, '{"features": [1.0, 2.0], "label": 1%s}' % ("0" * 400)],
      "{path}: line 2: label 1%s is not a finite float64" % ("0" * 400)),
+    ("unknown-label", [GOOD, '{"features": [1.0, 2.0], "label": "cat"}'],
+     "{path}: line 2: unknown label 'cat'"),
+    ("neither-features-nor-text1", [GOOD, '{"label": 1}'],
+     "{path}: line 2: need 'features' or 'text1'"),
 ]
 
 

@@ -11,6 +11,8 @@ from fishgrad import data as dio
 from fishgrad import fisher as fi
 from fishgrad import models as mz
 
+from support import zoo_specs
+
 
 def regressor_with(w, b=0.0):
     model = mz.build(mz.ModelSpec("linear_regressor", input_dim=len(w),
@@ -297,7 +299,7 @@ class TestMaskInvariants:
         assert again_mask.model_hash == "abc"
 
 
-EQUIVALENCE_SPECS = [*mz.zoo_specs(seed=5),
+EQUIVALENCE_SPECS = [*zoo_specs(seed=5),
                      mz.ModelSpec("mlp", input_dim=4, hidden=(7, 5), num_classes=3,
                                   seed=6, activation="relu")]
 

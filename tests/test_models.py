@@ -10,6 +10,8 @@ import pytest
 from fishgrad import autodiff as ad
 from fishgrad import models as mz
 
+from support import zoo_specs
+
 FIXTURES = Path(__file__).with_name("fixtures")
 
 class TestBuild:
@@ -82,12 +84,17 @@ class TestParamVector:
         assert offset == len(pv)
 
     def test_flat_index_round_trip_every_index(self):
+        """A write to flat index ``seg.offset + pos`` shows at position
+        ``pos`` of that segment's view, for every index."""
         pv = mz.build(mz.ModelSpec("mlp", input_dim=4, hidden=(8,), num_classes=3, seed=0)).params
-        for i in range(len(pv)):
-            name, pos = pv.locate(i)
-            assert pv.flat_index(name, pos) == i
-            pv.data[i] = 0.5 + i
-            assert pv.view(name).reshape(-1)[pos] == 0.5 + i
+        visited = []
+        for seg in pv.segments:
+            for pos in range(seg.length):
+                i = seg.offset + pos
+                pv.data[i] = 0.5 + i
+                assert pv.view(seg.name).reshape(-1)[pos] == 0.5 + i
+                visited.append(i)
+        assert visited == list(range(len(pv)))
 
     def test_copy_is_independent(self):
         pv = mz.build(mz.ModelSpec("logreg", input_dim=3, num_classes=2, seed=0)).params
@@ -134,7 +141,7 @@ class TestLogProb:
 
 class TestPassLabelCount:
     @pytest.mark.parametrize("count", [2, 4], ids=["short", "long"])
-    @pytest.mark.parametrize("spec", mz.zoo_specs(), ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("spec", zoo_specs(), ids=lambda spec: spec.kind)
     def test_factors_take_one_label_per_row(self, spec, count):
         """Every kind's pass checks the label count before its factors, as
         its loss gradient does, and names the batch's rows."""

@@ -8,6 +8,8 @@ import pytest
 from fishgrad import report as rep
 from fishgrad import search as sr
 
+from support import grid_from_matrix
+
 
 def cells_group(svg: str) -> ET.Element:
     root = ET.fromstring(svg)
@@ -29,7 +31,7 @@ def cell_elements(svg: str):
 
 class TestRenderHeatmap:
     def test_single_cell_grid_one_rect_one_label(self):
-        grid = sr.GridResult.from_matrix((0.5,), (8,), [[0.9132]])
+        grid = grid_from_matrix((0.5,), (8,), [[0.9132]])
         rects, texts, polys = cell_elements(rep.render_heatmap(grid))
         assert len(rects) == 1
         assert len(texts) == 1
@@ -37,13 +39,13 @@ class TestRenderHeatmap:
         assert polys == []
 
     def test_identical_input_byte_identical_output(self):
-        grid = sr.GridResult.from_matrix((0.5, 0.1), (8, 2),
-                                         [[0.91, 0.85], [None, 0.8]])
+        grid = grid_from_matrix((0.5, 0.1), (8, 2),
+                                [[0.91, 0.85], [None, 0.8]])
         assert rep.render_heatmap(grid) == rep.render_heatmap(grid)
 
     def test_grey_blocks_for_unexplored_cells(self):
-        grid = sr.GridResult.from_matrix((0.5, 0.1), (8, 2),
-                                         [[0.91, 0.85], [None, 0.8]])
+        grid = grid_from_matrix((0.5, 0.1), (8, 2),
+                                [[0.91, 0.85], [None, 0.8]])
         rects, _, _ = cell_elements(rep.render_heatmap(grid))
         greys = [r for r in rects if r.get("fill") == "rgb(217,217,217)"]
         assert len(greys) == 1
@@ -51,7 +53,7 @@ class TestRenderHeatmap:
     def test_fill_darkness_follows_score_rank(self):
         """Parse fills: higher scores are darker (smaller red channel)."""
         matrix = [[0.93, 0.89, None], [None, 0.91, 0.84], [None, None, 0.86]]
-        grid = sr.GridResult.from_matrix((0.5, 0.1, 0.05), (8, 4, 2), matrix)
+        grid = grid_from_matrix((0.5, 0.1, 0.05), (8, 4, 2), matrix)
         rects, texts, _ = cell_elements(rep.render_heatmap(grid))
         explored = [(float(t.text), r) for t, r in
                     zip(texts, [r for r in rects if r.get("fill") != "rgb(217,217,217)"])]
@@ -61,8 +63,8 @@ class TestRenderHeatmap:
         assert all(reds[a] > reds[b] for a, b in zip(ordered, ordered[1:]))
 
     def test_red_border_marks_maximum(self):
-        grid = sr.GridResult.from_matrix((0.5, 0.1), (8, 2),
-                                         [[0.91, 0.85], [None, 0.95]])
+        grid = grid_from_matrix((0.5, 0.1), (8, 2),
+                                [[0.91, 0.85], [None, 0.95]])
         rects, texts, _ = cell_elements(rep.render_heatmap(grid))
         bordered = [r for r in rects if r.get("stroke") == "rgb(192,0,0)"]
         assert len(bordered) == 1
@@ -70,8 +72,8 @@ class TestRenderHeatmap:
         assert svg.index('stroke="rgb(192,0,0)"') < svg.index(">0.9500<")
 
     def test_comparison_glyphs_rendered(self):
-        a = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
-        b = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.92, 0.8], [None, 0.65]])
+        a = grid_from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
+        b = grid_from_matrix((0.5, 0.1), (8, 2), [[0.92, 0.8], [None, 0.65]])
         comparison = sr.compare_grids(a, b)
         svg = rep.render_heatmap(b, comparison)
         _, _, polys = cell_elements(svg)
@@ -79,7 +81,7 @@ class TestRenderHeatmap:
         assert classes == ["glyph-down", "glyph-up"]
 
     def test_annotation_embedded_as_comment(self):
-        grid = sr.GridResult.from_matrix((0.5,), (8,), [[0.9]])
+        grid = grid_from_matrix((0.5,), (8,), [[0.9]])
         svg = rep.render_heatmap(grid, annotation="manifest-sha256: abc123")
         assert "<!-- manifest-sha256: abc123 -->" in svg
 
@@ -89,15 +91,15 @@ class TestRenderHeatmap:
             rep.render_heatmap(sr.GridResult(spec, []))
 
     def test_scores_rounded_to_four_decimals(self):
-        grid = sr.GridResult.from_matrix((0.5,), (8,), [[0.912345678]])
+        grid = grid_from_matrix((0.5,), (8,), [[0.912345678]])
         _, texts, _ = cell_elements(rep.render_heatmap(grid))
         assert texts[0].text == "0.9123"
 
 
 class TestComparisonCsv:
     def test_rows_and_totals(self):
-        a = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
-        b = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.92, 0.8], [None, 0.65]])
+        a = grid_from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
+        b = grid_from_matrix((0.5, 0.1), (8, 2), [[0.92, 0.8], [None, 0.65]])
         comparison = sr.compare_grids(a, b)
         text = rep.comparison_csv(a, b, comparison)
         lines = text.strip().splitlines()

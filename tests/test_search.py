@@ -17,6 +17,8 @@ from fishgrad import models as mz
 from fishgrad import search as sr
 from fishgrad import training as tr
 
+from support import grid_from_matrix
+
 
 # Python 3.12 and later run a grid's fine-tunes serially: forking a process
 # with a BLAS thread pool warns there.
@@ -634,33 +636,33 @@ ARROWS_SST2 = [
 
 class TestCompareGrids:
     def test_identical_grids_all_tie(self):
-        a = sr.GridResult.from_matrix((0.5, 0.1), (8, 2),
-                                      [[0.9, 0.8], [None, 0.7]])
+        a = grid_from_matrix((0.5, 0.1), (8, 2),
+                             [[0.9, 0.8], [None, 0.7]])
         c = sr.compare_grids(a, a)
         assert (c.ups, c.downs, c.ties) == (0, 0, 3)
 
     def test_single_cell_improvement_is_one_up(self):
-        a = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
-        b = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.81], [None, 0.7]])
+        a = grid_from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
+        b = grid_from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.81], [None, 0.7]])
         c = sr.compare_grids(a, b)
         assert (c.ups, c.downs, c.ties) == (1, 0, 2)
         assert c.symbols[0][1] == "up"
 
     def test_rounding_to_four_decimals(self):
-        a = sr.GridResult.from_matrix((0.5,), (8,), [[0.90001]])
-        b = sr.GridResult.from_matrix((0.5,), (8,), [[0.90004]])
+        a = grid_from_matrix((0.5,), (8,), [[0.90001]])
+        b = grid_from_matrix((0.5,), (8,), [[0.90004]])
         assert sr.compare_grids(a, b).ties == 1
 
     def test_axis_mismatch_rejected(self):
-        a = sr.GridResult.from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
-        b = sr.GridResult.from_matrix((0.5, 0.2), (8, 2), [[0.9, 0.8], [None, 0.7]])
+        a = grid_from_matrix((0.5, 0.1), (8, 2), [[0.9, 0.8], [None, 0.7]])
+        b = grid_from_matrix((0.5, 0.2), (8, 2), [[0.9, 0.8], [None, 0.7]])
         with pytest.raises(ValueError, match="axes"):
             sr.compare_grids(a, b)
 
     def test_transcribed_reference_matrices_reproduce_arrows(self):
         """The printed up/down placements follow from the scores alone."""
-        fish = sr.GridResult.from_matrix(SPARSITY_LEVELS, SAMPLE_LEVELS, FISH_SST2)
-        ird_grid = sr.GridResult.from_matrix(SPARSITY_LEVELS, SAMPLE_LEVELS, IRD_SST2)
+        fish = grid_from_matrix(SPARSITY_LEVELS, SAMPLE_LEVELS, FISH_SST2)
+        ird_grid = grid_from_matrix(SPARSITY_LEVELS, SAMPLE_LEVELS, IRD_SST2)
         c = sr.compare_grids(fish, ird_grid)
         assert c.symbols == ARROWS_SST2
         assert (c.ups, c.downs, c.ties) == (2, 3, 2)

@@ -13,6 +13,8 @@ from fishgrad import models as mz
 from fishgrad import search as sr
 from fishgrad import training as tr
 
+from support import zoo_specs
+
 
 def blob_task(seed=0, n=200, dims=6, classes=2, noise=0.3):
     ds = dio.generate(dio.SyntheticSpec("gaussian_blobs", n=n, dims=dims,
@@ -545,7 +547,7 @@ class TestFrozenLayers:
             return real_step(self, y)
 
         monkeypatch.setattr(mz.TapePass, "loss_gradient", spy)
-        spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == kind.split("-")[0])
+        spec = next(s for s in zoo_specs(seed=1) if s.kind == kind.split("-")[0])
         model, ref = mz.build(spec), mz.build(spec)
         if kind.startswith("mlp"):
             mask = layer_mask(model, kind[4:])
@@ -646,7 +648,7 @@ class TestGroupLoop:
         through ``TapePass``, with no rerun as groups of one."""
         ds = dio.generate(dio.SyntheticSpec("token_topic", n=40, vocab=24, seq_len=6, seed=0))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
-        spec = next(s for s in mz.zoo_specs(seed=1) if s.kind == "tiny_attention")
+        spec = next(s for s in zoo_specs(seed=1) if s.kind == "tiny_attention")
         cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8, seed=s)
                 for s in range(3)]
         masks = [lambda m, s=s: fi.Mask(np.arange(0, m.num_params, s), 1 / s, m.num_params)
