@@ -41,7 +41,7 @@ class _Node:
     __slots__ = ("op", "inputs", "shape", "backward")
 
     def __init__(self, op: str, inputs: tuple[int, ...], shape: tuple[int, ...],
-                 backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None):
+                 backward: Callable[[np.ndarray], Sequence[np.ndarray]] | None):
         self.op = op
         self.inputs = inputs
         self.shape = shape
@@ -66,11 +66,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, node={self.node})"
 
 
-def _as_f64(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    return arr
-
-
 class Tape:
     """Execution record of one forward pass plus parameter bindings."""
 
@@ -89,7 +84,7 @@ class Tape:
 
     def constant(self, value) -> Tensor:
         """Leaf with no gradient tracking (inputs, fixed coefficients)."""
-        return self._record("const", (), _as_f64(value), None)
+        return self._record("const", (), np.asarray(value, dtype=np.float64), None)
 
     def bind(self, params) -> dict[str, Tensor]:
         """Register the tape's one flat parameter vector; returns one leaf
@@ -126,7 +121,7 @@ class Tape:
             raise BackwardError("gradient() with no bound parameters")
         out_id = output.node if output is not None else len(self._nodes) - 1
         out_node = self._nodes[out_id]
-        seed_arr = _as_f64(seed)
+        seed_arr = np.asarray(seed, dtype=np.float64)
         if seed_arr.shape != out_node.shape:
             raise ShapeMismatch("gradient",
                                 f"seed shape {seed_arr.shape} != output shape {out_node.shape}")
@@ -139,8 +134,6 @@ class Tape:
             if grad_out is None or node.backward is None:
                 continue
             for input_id, grad_in in zip(node.inputs, node.backward(grad_out)):
-                if grad_in is None:
-                    continue
                 if adjoints[input_id] is None:
                     adjoints[input_id] = grad_in
                 else:
@@ -278,7 +271,7 @@ def nll(log_probs: Tensor, targets) -> Tensor:
 def mse(pred: Tensor, targets) -> Tensor:
     """Mean squared error against a fixed target vector."""
     p = pred.data
-    t = _as_f64(targets)
+    t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise ShapeMismatch("mse", f"pred {p.shape} vs target {t.shape}")
     n = p.size if p.size else 1

@@ -152,11 +152,8 @@ def _split(dataset: dio.Dataset, args) -> tuple[dio.Dataset, dio.Dataset]:
 def _cmd_gen_data(args, started: float) -> int:
     spec = dio.SyntheticSpec(args.generator, args.n, dims=args.dims,
                              classes=args.classes, noise=args.noise, seed=args.seed)
-    dataset = dio.generate(spec)
-    if dataset.token_inputs:
-        raise ValueError("token datasets are in-library only; pick a dense generator")
     manifest = _manifest("gen-data", {"spec": spec.__dict__}, {}, spec.seed)
-    dio.save(dataset, args.out, format=args.format, manifest=manifest)
+    dio.save(dio.generate(spec), args.out, format=args.format, manifest=manifest)
     return 0
 
 
@@ -368,7 +365,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error("usage", str(exc))
         return 1
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:  # not every OSError: a full disk is 3
         _emit_error(type(exc).__name__, str(exc))
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -36,7 +36,6 @@ class Dataset:
     task: str
     num_classes: int = 0
     token_inputs: bool = False
-    texts: list[tuple[str, str]] | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -61,9 +60,8 @@ class Dataset:
 
     def subset(self, ids) -> "Dataset":
         ids = np.asarray(ids, dtype=np.int64)
-        texts = [self.texts[i] for i in ids] if self.texts is not None else None
         return Dataset(self.inputs[ids], self.labels[ids], self.task,
-                       self.num_classes, self.token_inputs, texts)
+                       self.num_classes, self.token_inputs)
 
 
 @dataclass(frozen=True)
@@ -301,7 +299,7 @@ def load(path, dim: int = 2048, seed: int = 0) -> Dataset:
     if rows_text:
         feats = np.stack([featurize_text(join_pair(a, b), dim, seed)
                           for a, b in rows_text])
-        return Dataset(feats, labels, task, num_classes, texts=rows_text)
+        return Dataset(feats, labels, task, num_classes)
     return Dataset(inputs, labels, task, num_classes)
 
 
@@ -328,29 +326,21 @@ def _feature_array(path: str, rows: list, lines: list[int]) -> np.ndarray:
 
 
 def save(dataset: Dataset, path, format: str = "jsonl", manifest: dict | None = None) -> None:
-    """Write a dataset back out in one of the loadable formats; the text is
+    """Write a dataset's features back out in one of the loadable formats
+    (a dataset loaded from text saves its hashed features); the text is
     built whole first, so a failed save leaves any previous file as it was."""
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown format {format!r}")
     if dataset.token_inputs:
-        raise ValueError("token datasets have no on-disk format; save features or text")
+        raise ValueError("token datasets have no on-disk format; save features")
     labels = dataset.labels
     lines = []
     if format == "jsonl":
         if manifest is not None:
             lines.append(json.dumps({"manifest": manifest}, sort_keys=True))
         for i in range(len(dataset)):
-            if dataset.texts is not None:
-                row = {"text1": dataset.texts[i][0], "text2": dataset.texts[i][1],
-                       "label": _plain(labels[i])}
-            else:
-                row = {"features": [float(v) for v in dataset.inputs[i]],
-                       "label": _plain(labels[i])}
-            lines.append(json.dumps(row))
-    elif dataset.texts is not None:
-        lines.append("text1\ttext2\tlabel")
-        for i in range(len(dataset)):
-            lines.append("\t".join([*dataset.texts[i], str(_plain(labels[i]))]))
+            lines.append(json.dumps({"features": [float(v) for v in dataset.inputs[i]],
+                                     "label": _plain(labels[i])}))
     else:
         lines.append("\t".join([f"f{i}" for i in range(dataset.dim)] + ["label"]))
         for i in range(len(dataset)):

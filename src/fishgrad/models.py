@@ -128,10 +128,6 @@ class ModelSpec:
         d["hidden"] = list(self.hidden)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        return ModelSpec(**d)
-
 
 def _init(params: ParamVector, fan_in: dict[str, int], seed: int) -> None:
     # Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] per segment, drawn in segment
@@ -617,7 +613,7 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path}: unknown spec keys: {unknown}")
     if hashlib.sha256(payload).hexdigest() != header["hash"]:
         raise ValueError(f"checkpoint payload hash mismatch: {path}")
-    model = build(ModelSpec.from_dict(header["spec"]))
+    model = build(ModelSpec(**header["spec"]))
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if len(data) != model.num_params:
         raise ValueError(f"checkpoint has {len(data)} values, model wants {model.num_params}")

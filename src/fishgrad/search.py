@@ -126,9 +126,7 @@ def _fine_tune(plan, train_ds, valid_ds, cfg: IRDConfig) -> list[tuple[float, st
     only reads a model that several jobs share, as every ``ird`` plan's
     model is, and writes only a model that one job holds, a one-cell seed's
     model that ``run_grid`` built for it."""
-    outcomes = tr.train_group(
-        [model for model, _, _ in plan], [mask for _, mask, _ in plan],
-        train_ds, valid_ds, [replace(cfg.train, seed=seed) for _, _, seed in plan])
+    outcomes = tr.train_group(plan, train_ds, valid_ds, cfg.train)
     return [(o.val_metrics[-1], "ok")
             if isinstance(o, tr.TrainReport) and math.isfinite(o.val_metrics[-1])
             else (math.nan, "undefined" if isinstance(o, UndefinedMetric) else "diverged")
@@ -505,11 +503,8 @@ def compare_grids(baseline: GridResult, candidate: GridResult) -> CellComparison
                           flat.count("up"), flat.count("down"), flat.count("tie"))
 
 
-def save_grid(result: GridResult, path, manifest: dict | None = None) -> None:
-    payload = {"result": result.to_json()}
-    if manifest is not None:
-        payload = {"manifest": manifest, **payload}
-    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
+def save_grid(result: GridResult, path) -> None:
+    write_atomic(path, json.dumps({"result": result.to_json()}, sort_keys=True) + "\n")
 
 
 GRID_KEYS = {"spec": {"sparsity_levels": ["a number"], "sample_levels": ["an integer"],
@@ -521,17 +516,25 @@ GRID_KEYS = {"spec": {"sparsity_levels": ["a number"], "sample_levels": ["an int
 
 def load_grid(path) -> GridResult:
     """A grid result file, its keys checked (``fileio.read_result``), its
-    spec by ``GridSpec`` and each cell against the spec's levels: every
-    rejection starts with the path."""
+    spec by ``GridSpec`` and each cell against the spec's levels and seeds,
+    no (sparsity, n_samples, seed) cell more often than the spec lists its
+    seed: every rejection starts with the path."""
     d = read_result(path, GRID_KEYS)
     try:
         grid = GridResult.from_json(d)
     except ValueError as exc:  # the spec, from ``GridSpec``
         raise ValueError(f"{path}: {exc}") from None
+    spec, seen = grid.spec, {}
     for i, cell in enumerate(grid.cells):
-        for key, value, levels in (("sparsity", cell.sparsity, grid.spec.sparsity_levels),
-                                   ("n_samples", cell.n_samples, grid.spec.sample_levels)):
-            if value not in levels:
+        for key, value, allowed, noun in (
+                ("sparsity", cell.sparsity, spec.sparsity_levels, "levels"),
+                ("n_samples", cell.n_samples, spec.sample_levels, "levels"),
+                ("seed", cell.seed, spec.seeds, "seeds")):
+            if value not in allowed:
                 raise ValueError(f"{path}: cells[{i}].{key} {value!r} is not one of the "
-                                 f"spec's levels {list(levels)}")
+                                 f"spec's {noun} {list(allowed)}")
+        place = (cell.sparsity, cell.n_samples, cell.seed)
+        seen[place] = seen.get(place, 0) + 1
+        if seen[place] > spec.seeds.count(cell.seed):
+            raise ValueError(f"{path}: cells[{i}] repeats (sparsity, n_samples, seed) {place}")
     return grid

@@ -24,7 +24,7 @@ run's score.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -176,12 +176,12 @@ def _frozen_rows(model, k: int, inputs: np.ndarray, batch_size: int) -> np.ndarr
     return rows
 
 
-def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfgs,
-                 metric: str, own):
+def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds,
+                 cfg: TrainConfig, seeds, metric: str, own):
     """The fine-tune loop. Job j steps coordinates ``selections[j]`` of
-    ``models[j]`` from ``start``, layer k's weight; the jobs' layers 0..k-1
-    (none, at k = 0) are equal and frozen, and their configs differ at most
-    in the seed. The frozen layers run once per split, and the labels are
+    ``models[j]`` from ``start``, layer k's weight, under ``cfg`` and in
+    ``seeds[j]``'s batch order; the jobs' layers 0..k-1 (none, at k = 0) are
+    equal and frozen. The frozen layers run once per split, and the labels are
     checked once. The jobs step as one (jobs, parameters) block, updated in
     place, through one pass of the model, both built again only when a job
     leaves. A step gathers each live job's own batch into a (jobs, batch,
@@ -197,14 +197,14 @@ def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfg
     only where ``own[j]`` (a model no other job reads), and its report's
     ``final_hash`` is hashed from the frozen layers and its block row: the
     ``content_hash`` of its parameters, written back or not."""
-    model, cfg, n, size = models[0], cfgs[0], len(train_ds), cfgs[0].batch_size
+    model, n, size = models[0], len(train_ds), cfg.batch_size
     rows = _frozen_rows(model, k, train_ds.inputs, size)
     valid_rows = model.layer_input(valid_ds.inputs, k)
     labels = model.check_labels(train_ds.labels)
     frozen = hashlib.sha256(model.params.data[:start].astype("<f8", copy=False))
     sel, lone = [s - start for s in selections], len(models) == 1
     block = np.stack([m.params.data[start:] for m in models])
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     losses, readings = [[] for _ in models], [[] for _ in models]
     outcomes, live = [None] * len(models), list(range(len(models)))
     state = AdamState.for_size(sum(len(s) for s in sel))
@@ -313,35 +313,36 @@ def _train_heads(models, selections, k: int, start: int, train_ds, valid_ds, cfg
     return outcomes
 
 
-def train_group(models, masks, train_ds, valid_ds, cfgs) -> list:
-    """Fine-tune ``models[j]`` under ``masks[j]`` and ``cfgs[j]`` for each
-    job: its report, or the ``TrainingDiverged`` or ``UndefinedMetric`` it
-    ended with. A model object that several jobs share is read, never
-    written: each of its jobs trains and reports as it would on a clone of
-    its own, ``final_hash`` included. A model of one job's own is fine-tuned
-    in place. Masks and metrics are checked before any job runs. Jobs on
-    models of one spec whose masks first reach the same dense layer k, whose
-    models hold equal layers 0..k-1 and whose configs differ at most in the
-    seed run as one group (``_train_heads``). A group that fails its
-    first-batch check runs again as groups of one. Losses, readings and
-    parameters are the same either way."""
+def train_group(jobs, train_ds, valid_ds, cfg: TrainConfig) -> list:
+    """Fine-tune each job, a ``(model, mask, seed)`` tuple, under ``cfg``
+    with the job's seed in place of ``cfg.seed``: its report, or the
+    ``TrainingDiverged`` or ``UndefinedMetric`` it ended with. A model
+    object that several jobs share is read, never written: each of its jobs
+    trains and reports as it would on a clone of its own, ``final_hash``
+    included. A model of one job's own is fine-tuned in place. Masks, seeds
+    and the metric are checked before any job runs. Jobs on models of one
+    spec whose masks first reach the same dense layer k and whose models
+    hold equal layers 0..k-1 run as one group (``_train_heads``). A group
+    that fails its first-batch check runs again as groups of one. Losses,
+    readings and parameters are the same either way."""
     groups, uses = {}, {}
-    for j, (model, mask, cfg) in enumerate(zip(models, masks, cfgs)):
+    for j, (model, mask, seed) in enumerate(jobs):
+        integer("seed", seed, 0)
         selected = _check_mask(model, mask)
         metric = met.check_metric(cfg.metric, model, valid_ds)
         k, start = _first_trained_layer(model, selected)
-        key = (model.spec, k, model.params.data[:start].tobytes(),
-               astuple(replace(cfg, seed=0)), metric)
+        key = (model.spec, k, model.params.data[:start].tobytes())
         groups.setdefault(key, (k, start, metric, []))[3].append((j, selected))
         uses[id(model)] = uses.get(id(model), 0) + 1
-    outcomes: list = [None] * len(models)
-    for k, start, metric, jobs in groups.values():
+    outcomes: list = [None] * len(jobs)
+    for k, start, metric, members in groups.values():
         def run(group):  # each job's outcome, or None after a failed check
-            return _train_heads([models[j] for j, _ in group], [s for _, s in group], k, start,
-                                train_ds, valid_ds, [cfgs[j] for j, _ in group], metric,
-                                [uses[id(models[j])] == 1 for j, _ in group])
+            models = [jobs[j][0] for j, _ in group]
+            return _train_heads(models, [s for _, s in group], k, start, train_ds, valid_ds,
+                                cfg, [jobs[j][2] for j, _ in group], metric,
+                                [uses[id(m)] == 1 for m in models])
 
-        for (j, _), outcome in zip(jobs, run(jobs) or [run([job])[0] for job in jobs]):
+        for (j, _), outcome in zip(members, run(members) or [run([job])[0] for job in members]):
             outcomes[j] = outcome
     return outcomes
 
@@ -358,7 +359,7 @@ def train_masked(model, mask: Mask | None, train_ds, valid_ds,
     validation labels before the first step. A non-finite loss, or
     non-finite updated coordinates after an epoch's last step, end the run.
     """
-    outcome = train_group([model], [mask], train_ds, valid_ds, [cfg])[0]
+    outcome = train_group([(model, mask, cfg.seed)], train_ds, valid_ds, cfg)[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -393,6 +393,11 @@ class TestExitCodes:
         ("report", grid(spec={"sparsity_levels": [0.25, 0.5]}),
          "sparsity levels must be strictly decreasing: (0.25, 0.5)"),
         ("report", grid(spec={"seeds": [-1]}), "seeds must be at least 0 and an integer, got -1"),
+        ("report", grid(spec={"sample_levels": []}), "sample levels must be nonempty"),
+        ("report", grid(spec={"sample_levels": [8]}), "staircase needs axes of equal length"),
+        ("report", grid(cell={"seed": 7}), "cells[0].seed 7 is not one of the spec's seeds [0]"),
+        ("report", grid(cell={"n_samples": 4}),
+         "cells[1] repeats (sparsity, n_samples, seed) (0.5, 4, 0)"),
     ], ids=["mask-a-list", "mask-result-a-list", "mask-selected-a-string",
             "mask-num-params-a-bool", "fisher-result-a-number", "fisher-without-values",
             "grid-a-list", "grid-without-spec", "grid-spec-a-number", "grid-cell-a-number",
@@ -403,7 +408,9 @@ class TestExitCodes:
             "checkpoint-without-hash", "grid-cell-status-a-number", "grid-cell-score-a-string",
             "grid-cell-off-the-sparsity-levels", "grid-cell-off-the-sample-levels",
             "grid-sparsity-level-a-string", "grid-sample-level-a-fraction", "grid-seed-a-string",
-            "grid-spec-unknown-mode", "grid-spec-levels-increasing", "grid-spec-negative-seed"])
+            "grid-spec-unknown-mode", "grid-spec-levels-increasing", "grid-spec-negative-seed",
+            "grid-spec-no-sample-levels", "grid-spec-axes-of-unequal-length",
+            "grid-cell-off-the-seeds", "grid-cell-repeated"])
     def test_malformed_result_file_is_two(self, workspace, capsys, command, text, named):
         """A mask, fisher or grid file read by ``train --mask``, ``mask
         --fisher`` or ``report``, or a checkpoint header read by ``train
@@ -447,6 +454,36 @@ class TestExitCodes:
                            "--out", "r.json")
         assert code == 2
         assert json.loads(err)["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("argv,error", [
+        (["train", "--data", "{dir}"], "IsADirectoryError"),
+        (["train", "--data", "{data}", "--config", "{dir}"], "IsADirectoryError"),
+        (["train", "--data", "{data}", "--model-config", "{dir}"], "IsADirectoryError"),
+        (["train", "--data", "{data}", "--mask", "{dir}"], "IsADirectoryError"),
+        (["report", "--baseline", "{dir}", "--candidate", "{grid}"], "IsADirectoryError"),
+        (["train", "--data", "{data}", "--out", "{dir}"], "IsADirectoryError"),
+        (["train", "--data", "{data}/x"], "NotADirectoryError"),
+        (["report", "--baseline", "{grid}", "--candidate", "{grid}", "--out", "{grid}"],
+         "FileExistsError"),
+    ], ids=["data-a-directory", "config-a-directory", "model-config-a-directory",
+            "mask-a-directory", "baseline-a-directory", "out-a-directory",
+            "data-under-a-file", "report-out-a-file"])
+    def test_bad_path_is_two_with_no_output(self, workspace, capsys, argv, error):
+        """A path that names a directory, runs through a file, or names a
+        file where a directory goes is a bad input, not a runtime failure."""
+        w = workspace
+        cli.main(["gen-data", "--n", "20", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        (w / "g.json").write_text(grid())
+        (w / "sub").mkdir()
+        paths = {"dir": w / "sub", "data": w / "d.jsonl", "grid": w / "g.json"}
+        argv = [arg.format(**paths) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(w / "out")]
+        before = {p: p.read_bytes() if p.is_file() else None for p in w.rglob("*")}
+        code, _, err = run(capsys, *argv)
+        assert (code, json.loads(err)["error"]) == (2, error)
+        assert {p: p.read_bytes() if p.is_file() else None for p in w.rglob("*")} == before
 
 
 class TestManifest:
@@ -578,6 +615,46 @@ class TestModelResolution:
         fisher = json.loads((w / "f.json").read_text())["result"]
         assert fisher["model_hash"] == model.content_hash()
         assert len(fisher["values"]) == model.num_params
+
+    def test_train_saves_a_model_that_fisher_reads(self, workspace, capsys):
+        w = workspace
+        cli.main(["gen-data", "--n", "60", "--dims", "4", "--seed", "1",
+                  "--out", str(w / "d.jsonl")])
+        assert cli.main(["train", "--data", str(w / "d.jsonl"),
+                         "--model-config", '{"kind": "mlp", "hidden": [6], "seed": 9}',
+                         "--config", '{"learning_rate": 0.1, "max_epochs": 3}',
+                         "--out", str(w / "t.json"), "--save-model", str(w / "m.ckpt")]) == 0
+        assert cli.main(["fisher", "--data", str(w / "d.jsonl"), "--model", str(w / "m.ckpt"),
+                         "--samples", "8", "--out", str(w / "f.json")]) == 0
+        trained = json.loads((w / "t.json").read_text())["result"]
+        fisher = json.loads((w / "f.json").read_text())
+        assert fisher["result"]["model_hash"] == trained["final_hash"]
+        assert fisher["manifest"]["config"]["model_spec"]["hidden"] == [6]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--config", {"learning_rate": 0.1, "max_epochs": 2}),
+        ("--model-config", {"kind": "mlp", "hidden": [5], "seed": 4}),
+    ])
+    def test_json_flag_reads_a_file(self, workspace, capsys, flag, value):
+        """A file path gives what the same JSON inline gives; a file holding
+        JSON that is not an object exits 2 with no output."""
+        w = workspace
+        cli.main(["gen-data", "--n", "40", "--dims", "4", "--seed", "0",
+                  "--out", str(w / "d.jsonl")])
+        (w / "v.json").write_text(json.dumps(value))
+        (w / "list.json").write_text("[1, 2]")
+        results = []
+        for arg in (json.dumps(value), str(w / "v.json")):
+            assert cli.main(["train", "--data", str(w / "d.jsonl"), flag, arg,
+                             "--out", str(w / "t.json")]) == 0
+            results.append({k: v for k, v in json.loads((w / "t.json").read_text()).items()
+                            if k != "timing"})
+        assert results[0] == results[1]
+        code, _, err = run(capsys, "train", "--data", str(w / "d.jsonl"), flag,
+                           str(w / "list.json"), "--out", str(w / "bad.json"))
+        assert code == 2
+        assert json.loads(err)["message"] == "config must be a JSON object, got list"
+        assert not (w / "bad.json").exists()
 
 
 class TestOneParserPerProcess:

@@ -38,7 +38,10 @@ class TestLoadTsv:
         assert len(ds) == 3
         assert ds.task == "binary" and ds.num_classes == 2
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
-        assert ds.texts[2] == ("a fine cast", "good script")
+        pair = dio.featurize_text(dio.join_pair("a fine cast", "good script"), dim=64)
+        assert ds.inputs[2].tobytes() == pair.tobytes()
+        dio.save(ds, tmp_path / "pairs.jsonl")  # a text dataset saves its hashed features
+        assert dio.load(tmp_path / "pairs.jsonl").inputs.tobytes() == ds.inputs.tobytes()
 
     def test_feature_fixture(self, tmp_path):
         path = tmp_path / "feats.tsv"
@@ -228,6 +231,9 @@ MALFORMED_JSONL = [  # (id, lines, the message, with {path} for the file's path)
      "{path}: line 2: unknown label 'cat'"),
     ("neither-features-nor-text1", [GOOD, '{"label": 1}'],
      "{path}: line 2: need 'features' or 'text1'"),
+    ("manifest-only", ['{"manifest": {}}', ""], "{path}: no data rows"),
+    ("text-after-features", [GOOD, '{"text1": "a fine cast", "label": 1}'],
+     "{path}: mixed text and feature rows"),
 ]
 
 

@@ -609,6 +609,10 @@ class TestRunGrid:
         sr.save_grid(result, path)
         again = sr.load_grid(path)
         assert again.to_json() == result.to_json()
+        # A seed listed twice holds each of its cells twice, as run_grid gives them.
+        twice = sr.GridResult(replace(spec, seeds=(0, 0)), result.cells * 2, result.traces * 2)
+        sr.save_grid(twice, path)
+        assert sr.load_grid(path).to_json() == twice.to_json()
 
 
 SPARSITY_LEVELS = (0.025, 0.005, 0.001, 0.0002)   # table rows, percent/100

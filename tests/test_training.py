@@ -1,6 +1,7 @@
 """Masked training: frozen coordinates, optimizer arithmetic, early stop."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,8 +208,8 @@ class TestTrainMasked:
         assert (info.value.epoch, info.value.batch) == (1, 1)
 
     def test_metric_checked_before_first_step(self, monkeypatch):
-        """A metric the head or the validation labels cannot take fails
-        before any training step."""
+        """A metric the head or the validation labels cannot take, or a
+        group's job seed below 0, fails before any training step."""
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
@@ -229,6 +230,8 @@ class TestTrainMasked:
         reg = mz.build(mz.ModelSpec("linear_regressor", input_dim=3, num_classes=0, seed=1))
         with pytest.raises(ValueError, match="constant labels"):
             tr.train_masked(reg, None, train, flat, tr.TrainConfig())
+        with pytest.raises(ValueError, match="seed must be at least 0 and an integer, got -1"):
+            tr.train_group([(reg, None, 0), (reg, None, -1)], train, valid, tr.TrainConfig())
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp"])
     def test_whole_model_run_stops_early_as_the_reference_does(self, kind):
@@ -465,19 +468,19 @@ class TestFrozenLayers:
         result = sr.run_grid(spec, task, model_spec, cfg).to_json()
         referenced = []
 
-        def reference_group(models, masks, train_ds, valid_ds, cfgs):
+        def reference_group(jobs, train_ds, valid_ds, run_cfg):
             outcomes = []
-            for model, mask, run_cfg in zip(models, masks, cfgs):
+            for model, mask, seed in jobs:
                 model = model.clone()
                 try:
                     losses, readings = reference_fine_tune(model, mask.selected, train_ds,
-                                                           valid_ds, run_cfg)
+                                                           valid_ds, replace(run_cfg, seed=seed))
                 except tr.TrainingDiverged as exc:
                     outcomes.append(exc)
                     continue
                 outcomes.append(tr.TrainReport(len(losses), losses, readings, False,
                                                model.content_hash()))
-            referenced.extend(masks)
+            referenced.extend(jobs)
             return outcomes
 
         monkeypatch.setattr(sr.tr, "train_group", reference_group)
@@ -583,11 +586,11 @@ class TestGroupLoop:
     """Fine-tunes that share their frozen layers run as one stacked loop
     (``train_group``); each job equals its solo run byte for byte."""
 
-    def run_group(self, monkeypatch, build, masks, train, valid, cfgs):
-        """Run the jobs as one group and each alone, through ``train_masked``
-        and through the full-model loop, and compare them all; returns the
-        outcomes and the group sizes ``_train_heads`` saw, with whether each
-        passed its first-batch check."""
+    def run_group(self, monkeypatch, build, masks, train, valid, cfg, seeds):
+        """Run the jobs, mask i with seed i, as one group under ``cfg`` and
+        each alone, through ``train_masked`` and through the full-model
+        loop, and compare them all; returns the outcomes and the group sizes
+        ``_train_heads`` saw, with whether each passed its first-batch check."""
         groups = []
         real_heads = tr._train_heads
 
@@ -597,24 +600,25 @@ class TestGroupLoop:
             return done
 
         monkeypatch.setattr(tr, "_train_heads", spy)
-        models = [build() for _ in cfgs]
-        outcomes = tr.train_group(models, [mask(models[0]) for mask in masks], train, valid,
-                                  cfgs)
+        models = [build() for _ in seeds]
+        outcomes = tr.train_group([(model, mask(models[0]), seed) for model, mask, seed
+                                   in zip(models, masks, seeds)], train, valid, cfg)
         seen = list(groups)
-        for model, mask, cfg, outcome in zip(models, masks, cfgs, outcomes):
+        for model, mask, seed, outcome in zip(models, masks, seeds, outcomes):
+            run_cfg = replace(cfg, seed=seed)
             solo, ref = build(), build()
             selected = mask(solo).selected
             if isinstance(outcome, tr.TrainingDiverged):
                 with pytest.raises(tr.TrainingDiverged) as alone:
-                    tr.train_masked(solo, mask(solo), train, valid, cfg)
+                    tr.train_masked(solo, mask(solo), train, valid, run_cfg)
                 with pytest.raises(tr.TrainingDiverged) as full:
-                    reference_fine_tune(ref, selected, train, valid, cfg)
+                    reference_fine_tune(ref, selected, train, valid, run_cfg)
                 where = (outcome.epoch, outcome.batch, outcome.args)
                 assert where == (alone.value.epoch, alone.value.batch, alone.value.args)
                 assert where == (full.value.epoch, full.value.batch, full.value.args)
             else:
-                assert outcome == tr.train_masked(solo, mask(solo), train, valid, cfg)
-                losses, readings = reference_fine_tune(ref, selected, train, valid, cfg)
+                assert outcome == tr.train_masked(solo, mask(solo), train, valid, run_cfg)
+                losses, readings = reference_fine_tune(ref, selected, train, valid, run_cfg)
                 assert (outcome.train_losses, outcome.val_metrics) == (losses, readings)
             assert model.params.data.tobytes() == solo.params.data.tobytes()
             assert model.params.data.tobytes() == ref.params.data.tobytes()
@@ -636,10 +640,10 @@ class TestGroupLoop:
         train, valid = blob_task(seed=2)
         assert len(train) == 160
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
-        models = [mz.build(spec) for _ in range(7)]
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16, seed=s)
-                for s in range(7)]
-        outcomes = tr.train_group(models, [output_mask(models[0], 1)] * 7, train, valid, cfgs)
+        mask = output_mask(mz.build(spec), 1)
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16)
+        outcomes = tr.train_group([(mz.build(spec), mask, s) for s in range(7)], train, valid,
+                                  cfg)
         assert [o.epochs_run for o in outcomes] == [2] * 7
         assert len(built) == 1 + 7 + 2
 
@@ -649,12 +653,11 @@ class TestGroupLoop:
         ds = dio.generate(dio.SyntheticSpec("token_topic", n=40, vocab=24, seq_len=6, seed=0))
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         spec = next(s for s in zoo_specs(seed=1) if s.kind == "tiny_attention")
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8, seed=s)
-                for s in range(3)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=8), range(3)
         masks = [lambda m, s=s: fi.Mask(np.arange(0, m.num_params, s), 1 / s, m.num_params)
                  for s in (1, 2, 3)]
         outcomes, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train,
-                                          valid, cfgs)
+                                          valid, cfg, seeds)
         assert groups == [(3, True)]
         assert len({o.final_hash for o in outcomes}) == 3
 
@@ -665,20 +668,19 @@ class TestGroupLoop:
         train, valid = dio.train_valid_split(ds, 0.25, seed=0)
         assert len(train) % 32 == 2
         spec = mz.ModelSpec("mlp", input_dim=8, hidden=(400,), num_classes=2, seed=3)
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(5)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=2), range(5)
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3, 7, 40)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
-                                   cfgs)
+                                   cfg, seeds)
         assert groups == [(5, True)]
 
     def test_wide_layers_at_batch_seven(self, monkeypatch):
         train, valid = blob_task(seed=3, n=600, dims=6)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(250, 250), num_classes=2, seed=4)
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=1, batch_size=7, seed=s)
-                for s in range(3)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=1, batch_size=7), range(3)
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 5)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
-                                   cfgs)
+                                   cfg, seeds)
         assert groups[0][0] == 3
 
     def test_head_with_a_hidden_layer(self, monkeypatch):
@@ -688,21 +690,20 @@ class TestGroupLoop:
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(6, 5), num_classes=3, seed=5,
                             activation="relu")
         wheres = ["middle", "spanning", "output", "middle"]
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=7, seed=s)
-                for s in range(len(wheres))]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=7), range(4)
         masks = [lambda m, w=w: layer_mask(m, w) for w in wheres]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
-                                   cfgs)
+                                   cfg, seeds)
         assert groups == [(3, True), (1, True)]
 
     def test_jobs_stop_early_at_different_epochs(self, monkeypatch):
         train, valid = blob_task(seed=8, classes=3, noise=1.0)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(12,), num_classes=3, seed=2)
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=12, patience=1,
-                               stop_threshold=0.0, seed=s) for s in range(6)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=12, patience=1,
+                                    stop_threshold=0.0), range(6)
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3, 4, 5, 6)]
         outcomes, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train,
-                                          valid, cfgs)
+                                          valid, cfg, seeds)
         assert groups == [(6, True)]
         assert all(o.stopped_early for o in outcomes)
         assert len({o.epochs_run for o in outcomes}) > 1
@@ -726,11 +727,10 @@ class TestGroupLoop:
             sel = output_mask(model, 1).selected[2:]
             return fi.Mask(sel, 0.5, model.num_params, model.content_hash())
 
-        cfgs = [tr.TrainConfig(optimizer="sgd", learning_rate=0.05, max_epochs=3, seed=s)
-                for s in range(3)]
+        cfg, seeds = tr.TrainConfig(optimizer="sgd", learning_rate=0.05, max_epochs=3), range(3)
         outcomes, groups = self.run_group(
             monkeypatch, build, [rest_of_output, lambda m: output_mask(m, 1), rest_of_output],
-            train, valid, cfgs)
+            train, valid, cfg, seeds)
         assert groups == [(3, True)]
         assert isinstance(outcomes[1], tr.TrainingDiverged)
         assert (outcomes[1].epoch, outcomes[1].batch) == (1, 2)
@@ -758,30 +758,32 @@ class TestGroupLoop:
             return fi.Mask(sel, 2 / model.num_params, model.num_params, model.content_hash())
 
         masks = [dead_unit, lambda m: output_mask(m, 1), dead_unit]
-        cfgs = [tr.TrainConfig(optimizer="sgd", learning_rate=1e308, batch_size=512,
-                               max_epochs=2, seed=s) for s in range(3)]
-        models = [build() for _ in cfgs]
-        outcomes = tr.train_group(models, [mask(m) for mask, m in zip(masks, models)],
-                                  train, valid, cfgs)
+        cfg = tr.TrainConfig(optimizer="sgd", learning_rate=1e308, batch_size=512, max_epochs=2)
+        models = [build() for _ in masks]
+        jobs = [(m, mask(m), seed) for seed, (mask, m) in enumerate(zip(masks, models))]
+        outcomes = tr.train_group(jobs, train, valid, cfg)
         assert isinstance(outcomes[1], tr.TrainingDiverged)
         assert "non-finite parameters" in str(outcomes[1])
         assert (outcomes[1].epoch, outcomes[1].batch) == (1, 1)
         for j in (0, 2):
             ref = build()
             losses, readings = reference_fine_tune(ref, dead_unit(ref).selected, train, valid,
-                                                   cfgs[j])
+                                                   replace(cfg, seed=j))
             assert outcomes[j].epochs_run == 2
             assert (outcomes[j].train_losses, outcomes[j].val_metrics) == (losses, readings)
             assert models[j].params.data.tobytes() == ref.params.data.tobytes()
 
-    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step", "later job's rows"])
+    @pytest.mark.parametrize("broken", ["frozen rows", "stacked step", "later job's rows",
+                                        "frozen rows and stacked input"])
     def test_a_failed_first_batch_check_runs_the_jobs_alone(self, broken, monkeypatch):
         """With the stacked step's gradient one ulp off, the group fails the
         check and every job runs again as a stacked group of one, which steps
         its own pass and passes. With only the cached frozen rows one ulp off,
         the group recomputes them for every batch, the first one included,
         and stays stacked: also when only rows that the second job's first
-        batch draws, and the first job's does not, are off."""
+        batch draws, and the first job's does not, are off. With the stacked
+        rows recomputed from the inputs one ulp off as well, the group fails
+        the check and its jobs run alone."""
         train, valid = blob_task(seed=9)
         if broken == "later job's rows":
             first = [np.random.default_rng(s).permutation(len(train))[:32] for s in (0, 1)]
@@ -798,24 +800,30 @@ class TestGroupLoop:
 
             monkeypatch.setattr(tr, "_frozen_rows", off_rows)
         else:
-            one_ulp_off(broken, monkeypatch)
+            one_ulp_off(broken.removesuffix(" and stacked input"), monkeypatch)
         stacked_inputs, real_input = [], mz.Model.layer_input
 
         def layer_input(self, X, k):
-            if np.ndim(X) == 3:
-                stacked_inputs.append(len(X))
+            if np.ndim(X) != 3:
+                return real_input(self, X, k)
+            stacked_inputs.append(len(X))
+            if broken.endswith("stacked input"):
+                return np.nextafter(real_input(self, X, k), np.inf)
             return real_input(self, X, k)
 
         monkeypatch.setattr(mz.Model, "layer_input", layer_input)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(3)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=2), range(3)
         masks = [lambda m, s=s: output_mask(m, s) for s in (1, 2, 3)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
-                                   cfgs)
+                                   cfg, seeds)
         assert len(train) == 5 * 32
         if broken == "stacked step":
             assert groups == [(3, False), (1, True), (1, True), (1, True)]
             assert stacked_inputs == []
+        elif broken.endswith("stacked input"):
+            assert groups == [(3, False), (1, True), (1, True), (1, True)]
+            assert stacked_inputs == [3]
         else:  # 2 epochs of 5 batches, each from the inputs
             assert groups == [(3, True)]
             assert stacked_inputs == [3] * 10
@@ -835,12 +843,13 @@ class TestGroupLoop:
         before = shared.params.data.tobytes()
         models = [shared, shared, single, shared]
         masks = [output_mask(shared, 1), None, output_mask(shared, 2), output_mask(shared, 3)]
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=s) for s in range(4)]
-        outcomes = tr.train_group(models, masks, train, valid, cfgs)
+        cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2)
+        outcomes = tr.train_group([(m, mask, s) for s, (m, mask) in enumerate(zip(models, masks))],
+                                  train, valid, cfg)
         assert shared.params.data.tobytes() == before
-        for model, mask, cfg, outcome in zip(models, masks, cfgs, outcomes):
+        for seed, (model, mask, outcome) in enumerate(zip(models, masks, outcomes)):
             clone = mz.build(spec)
-            assert outcome == tr.train_masked(clone, mask, train, valid, cfg)
+            assert outcome == tr.train_masked(clone, mask, train, valid, replace(cfg, seed=seed))
             assert outcome.final_hash == clone.content_hash()
             if model is single:
                 assert model.params.data.tobytes() == clone.params.data.tobytes()
@@ -853,9 +862,9 @@ class TestGroupLoop:
         one_ulp_off(broken, monkeypatch)
         train, valid = blob_task(seed=9)
         spec = mz.ModelSpec("mlp", input_dim=6, hidden=(8,), num_classes=2, seed=1)
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16, seed=3)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=2, batch_size=16), [3]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec),
-                                   [lambda m: output_mask(m, 2)], train, valid, cfgs)
+                                   [lambda m: output_mask(m, 2)], train, valid, cfg, seeds)
         assert groups == [(1, True)]
 
     @pytest.mark.parametrize("kind", ["logreg", "linear_regressor", "mlp-layer0"])
@@ -880,11 +889,10 @@ class TestGroupLoop:
                                model.content_hash())
             return mask
 
-        cfgs = [tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=16, seed=s)
-                for s in range(4)]
+        cfg, seeds = tr.TrainConfig(learning_rate=0.05, max_epochs=3, batch_size=16), range(4)
         masks = [reach_layer_zero(step) for step in (1, 2, 3, 5)]
         _, groups = self.run_group(monkeypatch, lambda: mz.build(spec), masks, train, valid,
-                                   cfgs)
+                                   cfg, seeds)
         assert groups == [(4, True)]
 
     def test_jobs_on_other_specs_run_apart(self):
@@ -896,7 +904,7 @@ class TestGroupLoop:
         specs.append(mz.ModelSpec("logreg", input_dim=6, num_classes=3, seed=3))
         cfg = tr.TrainConfig(learning_rate=0.05, max_epochs=2, seed=1)
         models = [mz.build(spec) for spec in specs]
-        outcomes = tr.train_group(models, [None] * 3, train, valid, [cfg] * 3)
+        outcomes = tr.train_group([(m, None, cfg.seed) for m in models], train, valid, cfg)
         for spec, model, outcome in zip(specs, models, outcomes):
             solo = mz.build(spec)
             assert outcome == tr.train_masked(solo, None, train, valid, cfg)
